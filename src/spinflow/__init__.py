@@ -4,12 +4,12 @@ fields on a flat periodic 2D domain, with energy-concentration diagnostics."""
 __version__ = "0.1.0"
 
 from .domain import (Coupling, CriticalLine, CriticalPoint, CriticalSet, CutoffField,
-                     Grid, UniformVectorField, critical_points, eval_cutoff,
-                     make_coupling, make_cutoff, make_grid)
+                     Grid, UniformVectorField, critical_points, make_coupling,
+                     make_cutoff, make_grid)
 from .field import (SphereField, bubble_field, constant_field, great_circle_field,
                     perturb)
-from .operators import (TangentField, grad, grad_squared, gradient_velocity,
-                        laplacian, ll_velocity, ps_residual, tension, velocity)
+from .operators import (TangentField, grad, grad_squared, laplacian, ll_velocity,
+                        ps_residual, tension)
 from .flow import (BlowUpError, EvolveResult, FlowConfig, FlowState, cfl_dt,
                    dissipation_coefficient, evolve, step)
 from .relax import RelaxResult, relax

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import diagnostics
-from .domain import Coupling, Grid, make_cutoff
+from .domain import Coupling, Grid, _grad_arrays, _stencil, make_cutoff
 from .field import SphereField, normalize
 from .flow import FlowConfig, cfl_dt, dissipation_coefficient, evolve
 from .operators import ps_residual
@@ -57,10 +57,6 @@ def _tangent_direction(field: SphereField, seed: int) -> np.ndarray:
     return w / max(n, 1e-300)
 
 
-def _central_diff(a: np.ndarray, h: float, axis: int) -> np.ndarray:
-    return (np.roll(a, -1, axis=axis) - np.roll(a, 1, axis=axis)) / (2.0 * h)
-
-
 def gradient_pairing_error(field: SphereField, coupling: Coupling, seed: int = 0,
                            fd_step: float = FD_STEP):
     """Centered finite difference of E against the defect pairing -2 <F, xi>.
@@ -88,16 +84,12 @@ def gradient_pairing_error(field: SphereField, coupling: Coupling, seed: int = 0
     # exact gradient of the discrete energy (summation by parts is exact for
     # periodic central differences)
     f = coupling.values[..., None]
-    ux = _central_diff(u, hx, 0)
-    uy = _central_diff(u, hy, 1)
-    g_exact = _central_diff(f * ux, hx, 0) + _central_diff(f * uy, hy, 1)
+    ux, uy, lap = _stencil(u, hx, hy)
+    g_exact = _grad_arrays(f * ux, hx, hy)[0] + _grad_arrays(f * uy, hx, hy)[1]
     pair_exact = -2.0 * float(np.einsum("ijk,ijk->", g_exact, xi)) * cell
     # 5-point defect with the coupling gradient re-derived from the values
-    fx = _central_diff(coupling.values, hx, 0)[..., None]
-    fy = _central_diff(coupling.values, hy, 1)[..., None]
-    lap = ((np.roll(u, -1, 0) + np.roll(u, 1, 0) - 2 * u) / (hx * hx)
-           + (np.roll(u, -1, 1) + np.roll(u, 1, 1) - 2 * u) / (hy * hy))
-    f_values = coupling.values[..., None] * lap + fx * ux + fy * uy
+    fx, fy = _grad_arrays(coupling.values, hx, hy)
+    f_values = f * lap + fx[..., None] * ux + fy[..., None] * uy
     pair_values = -2.0 * float(np.einsum("ijk,ijk->", f_values, xi)) * cell
     gap = pair_exact - pair_values
     return fd, pairing, gap
@@ -125,11 +117,8 @@ def _third_derivative_scale(field: SphereField) -> float:
     """L2 norm of the central-difference gradient of the 5-point Laplacian;
     the common magnitude behind the h^2 truncation terms of the identities."""
     g = field.grid
-    u = field.values
-    lap = ((np.roll(u, -1, 0) + np.roll(u, 1, 0) - 2 * u) / (g.hx * g.hx)
-           + (np.roll(u, -1, 1) + np.roll(u, 1, 1) - 2 * u) / (g.hy * g.hy))
-    dlx = _central_diff(lap, g.hx, 0)
-    dly = _central_diff(lap, g.hy, 1)
+    lap = _stencil(field.values, g.hx, g.hy)[2]
+    dlx, dly = _grad_arrays(lap, g.hx, g.hy)
     total = float(np.einsum("ijk,ijk->", dlx, dlx) + np.einsum("ijk,ijk->", dly, dly))
     return math.sqrt(total * g.cell_area)
 

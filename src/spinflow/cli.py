@@ -36,40 +36,35 @@ def _outdir(cfg: RunConfig, override: str | None) -> str:
     return path
 
 
-def _write_outputs(cfg: RunConfig, outdir: str, state, ledger, report=None) -> None:
-    ledger.to_csv(os.path.join(outdir, "ledger.csv"))
-    snapshots.write_snapshot(os.path.join(outdir, "snapshot_final.bin"), state.field)
-    if cfg["output.field_csv"]:
-        snapshots.write_field_csv(os.path.join(outdir, "field_final.csv"), state.field)
+def _write_state(cfg: RunConfig, outdir: str, field, tag: str) -> None:
+    """Snapshot of a field plus, when enabled, its energy-density heatmap."""
+    snapshots.write_snapshot(os.path.join(outdir, f"snapshot_{tag}.bin"), field)
     if cfg["output.heatmaps"]:
-        density = diagnostics.energy_density(state.field, cfg.coupling)
-        snapshots.write_density_pgm(os.path.join(outdir, "density_final.pgm"), density)
-    if report is not None:
-        with open(os.path.join(outdir, "report.txt"), "w", encoding="utf-8") as fh:
-            fh.write(report.to_text())
+        density = diagnostics.energy_density(field, cfg.coupling)
+        snapshots.write_density_pgm(os.path.join(outdir, f"density_{tag}.pgm"), density)
 
 
-def _snapshot_sink(cfg: RunConfig, outdir: str):
-    def sink(state):
-        snapshots.write_snapshot(os.path.join(outdir, f"snapshot_{state.step:08d}.bin"),
-                                 state.field)
-        if cfg["output.heatmaps"]:
-            density = diagnostics.energy_density(state.field, cfg.coupling)
-            snapshots.write_density_pgm(os.path.join(outdir, f"density_{state.step:08d}.pgm"),
-                                        density)
-    return sink
+def _evolve_and_report(cfg: RunConfig, outdir: str, stop_when=None):
+    """Shared body of run and blowup-experiment: evolve the configured flow,
+    then write the ledger, the final state and the concentration report.
 
+    Returns (exit code, EvolveResult, ConcentrationReport); the last two are
+    None unless the exit code is EXIT_OK.  A blow-up or a non-finite energy
+    still leaves the ledger recorded so far.
+    """
+    ledger_path = os.path.join(outdir, "ledger.csv")
 
-def cmd_run(cfg: RunConfig, outdir: str) -> int:
-    initial = cfg.build_initial()
+    def snapshot_sink(state):
+        _write_state(cfg, outdir, state.field, f"{state.step:08d}")
+
     try:
-        out = evolve(initial, cfg.coupling, cfg.flow, radii=cfg.radii,
-                     snapshot_sink=_snapshot_sink(cfg, outdir))
+        out = evolve(cfg.build_initial(), cfg.coupling, cfg.flow, radii=cfg.radii,
+                     snapshot_sink=snapshot_sink, stop_when=stop_when)
     except BlowUpError as err:
         if err.ledger is not None:
-            err.ledger.to_csv(os.path.join(outdir, "ledger.csv"))
+            err.ledger.to_csv(ledger_path)
         print(f"error: {err}", file=sys.stderr)
-        return EXIT_BLOWUP
+        return EXIT_BLOWUP, None, None
     state, ledger = out.state, out.ledger
     if not ledger.rows:
         # degenerate no-op run: record the initial state once
@@ -80,16 +75,26 @@ def cmd_run(cfg: RunConfig, outdir: str) -> int:
                                               grad_squared(state.field), t=state.t,
                                               v_norm_sq=v_sq, ps_norm=ps,
                                               radii=ledger.radii, crit=crit))
+    ledger.to_csv(ledger_path)
     if not all(math.isfinite(r.e_f) for r in ledger.rows):
-        ledger.to_csv(os.path.join(outdir, "ledger.csv"))
         print("error: non-finite energy in the ledger", file=sys.stderr)
-        return EXIT_NONFINITE
+        return EXIT_NONFINITE, None, None
     report = diagnostics.detect_concentration(ledger, state.field, cfg.coupling,
                                               cfg.radii, cfg.eps_conc)
-    _write_outputs(cfg, outdir, state, ledger, report)
-    print(f"finished: reason = {out.reason}, t = {state.t:.6g}, steps = {state.step}, "
-          f"E_f = {ledger.rows[-1].e_f:.6g}")
-    return EXIT_OK
+    _write_state(cfg, outdir, state.field, "final")
+    if cfg["output.field_csv"]:
+        snapshots.write_field_csv(os.path.join(outdir, "field_final.csv"), state.field)
+    with open(os.path.join(outdir, "report.txt"), "w", encoding="utf-8") as fh:
+        fh.write(report.to_text())
+    return EXIT_OK, out, report
+
+
+def cmd_run(cfg: RunConfig, outdir: str) -> int:
+    code, out, _ = _evolve_and_report(cfg, outdir)
+    if code == EXIT_OK:
+        print(f"finished: reason = {out.reason}, t = {out.state.t:.6g}, "
+              f"steps = {out.state.step}, E_f = {out.ledger.rows[-1].e_f:.6g}")
+    return code
 
 
 def cmd_relax(cfg: RunConfig, outdir: str) -> int:
@@ -126,9 +131,6 @@ def cmd_blowup_experiment(cfg: RunConfig, outdir: str) -> int:
     """Canonical concentration experiment: evolve seeded data, stop at t_end
     or when the density peak collapses through the grid, then test the final
     argmax against the critical points of the coupling."""
-    initial = cfg.build_initial()
-    crit = critical_points(cfg.coupling)
-
     collapse_fraction = cfg["experiment.collapse_fraction"]
     peak = {"value": 0.0}
 
@@ -136,22 +138,13 @@ def cmd_blowup_experiment(cfg: RunConfig, outdir: str) -> int:
         peak["value"] = max(peak["value"], row.max_density)
         return row.max_density < collapse_fraction * peak["value"]
 
-    try:
-        out = evolve(initial, cfg.coupling, cfg.flow, radii=cfg.radii,
-                     snapshot_sink=_snapshot_sink(cfg, outdir), stop_when=collapsed)
-    except BlowUpError as err:
-        if err.ledger is not None:
-            err.ledger.to_csv(os.path.join(outdir, "ledger.csv"))
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_BLOWUP
-    state, ledger = out.state, out.ledger
-    report = diagnostics.detect_concentration(ledger, state.field, cfg.coupling,
-                                              cfg.radii, cfg.eps_conc)
-    _write_outputs(cfg, outdir, state, ledger, report)
+    code, out, report = _evolve_and_report(cfg, outdir, stop_when=collapsed)
+    if code != EXIT_OK:
+        return code
 
     extra = [f"stop_reason = {out.reason}"]
-    if ledger.rows and not crit.everywhere:
-        first, last = ledger.rows[0], ledger.rows[-1]
+    if not report.everywhere_critical:
+        first, last = out.ledger.rows[0], out.ledger.rows[-1]
         extra.append(f"initial_distance = {first.dist_to_crit!r}")
         extra.append(f"final_distance = {last.dist_to_crit!r}")
     with open(os.path.join(outdir, "report.txt"), "a", encoding="utf-8") as fh:
@@ -192,17 +185,13 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
 
     outdir = _outdir(cfg, args.output_dir)
-    try:
-        if args.command == "run":
-            return cmd_run(cfg, outdir)
-        if args.command == "relax":
-            return cmd_relax(cfg, outdir)
-        if args.command == "check":
-            return cmd_check(cfg, outdir)
-        return cmd_blowup_experiment(cfg, outdir)
-    except FloatingPointError as err:
-        print(f"error: non-finite failure: {err}", file=sys.stderr)
-        return EXIT_NONFINITE
+    if args.command == "run":
+        return cmd_run(cfg, outdir)
+    if args.command == "relax":
+        return cmd_relax(cfg, outdir)
+    if args.command == "check":
+        return cmd_check(cfg, outdir)
+    return cmd_blowup_experiment(cfg, outdir)
 
 
 def entrypoint() -> None:

@@ -94,7 +94,6 @@ _SCHEMA = {
     "flow.snapshot_every": (_parse_int, 0),
     "flow.diagnostic_every": (_parse_int, 1),
     "flow.integrator": (_parse_str, "euler"),
-    "flow.projection": (_parse_str, "renormalize"),
     "flow.stationarity_tol": (_parse_float, None),
     "diagnostics.radii": (_parse_float_list, None),
     "diagnostics.eps_conc": (_parse_float, None),
@@ -283,8 +282,8 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
             dt=values["flow.dt"], safety=values["flow.safety"],
             t_end=values["flow.t_end"], snapshot_every=values["flow.snapshot_every"],
             diagnostic_every=values["flow.diagnostic_every"],
-            projection=values["flow.projection"], integrator=values["flow.integrator"],
-            stationarity_tol=values["flow.stationarity_tol"], seed=values["initial.seed"])
+            integrator=values["flow.integrator"],
+            stationarity_tol=values["flow.stationarity_tol"])
     except ValueError as err:
         raise ConfigError(f"flow: {err}")
 

@@ -19,9 +19,9 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 from scipy import ndimage
 
-from .domain import Coupling, CriticalSet, CutoffField, Grid, critical_points, eval_cutoff
+from .domain import Coupling, CriticalSet, CutoffField, Grid, _grad_arrays, critical_points
 from .field import SphereField
-from .operators import _dot, _grad_arrays, ps_residual
+from .operators import _dot, ps_residual
 
 #: default concentration threshold, as a fraction of the degree-1 bubble energy
 DEFAULT_EPS_CONC_FRACTION = 0.3
@@ -47,10 +47,6 @@ def energy_density(field: SphereField, coupling: Coupling) -> np.ndarray:
 def energy(field: SphereField, coupling: Coupling) -> float:
     """Weighted energy E = sum f |grad u|^2 dA over the torus."""
     return float(energy_density(field, coupling).sum() * field.grid.cell_area)
-
-
-def _density_from_gsq(coupling: Coupling, gsq: np.ndarray) -> np.ndarray:
-    return coupling.values * gsq
 
 
 def min_resolvable_radius(grid: Grid) -> float:
@@ -119,8 +115,8 @@ def hopf_residual(field: SphereField, coupling: Coupling) -> float:
     grid = field.grid
     ux, uy = _grad_arrays(field.values, grid.hx, grid.hy)
     psi = (_dot(ux, ux) - _dot(uy, uy)) - 2.0j * _dot(ux, uy)
-    dpsi_zbar = 0.5 * ((np.roll(psi, -1, 0) - np.roll(psi, 1, 0)) / (2 * grid.hx)
-                       + 1j * (np.roll(psi, -1, 1) - np.roll(psi, 1, 1)) / (2 * grid.hy))
+    psi_x, psi_y = _grad_arrays(psi, grid.hx, grid.hy)
+    dpsi_zbar = 0.5 * (psi_x + 1j * psi_y)
     f = coupling.values
     defect = ps_residual(field, coupling).values
     w = (defect - coupling.grad_x[..., None] * ux - coupling.grad_y[..., None] * uy) \
@@ -135,12 +131,6 @@ def hopf_residual(field: SphereField, coupling: Coupling) -> float:
 # Domain-variation formula (1/2-convention energy on both sides)
 
 
-def _energy_half_of_values(values: np.ndarray, grid: Grid, coupling: Coupling) -> float:
-    ux, uy = _grad_arrays(values, grid.hx, grid.hy)
-    return 0.5 * float((coupling.values * (_dot(ux, ux) + _dot(uy, uy))).sum()
-                       * grid.cell_area)
-
-
 def variation_rhs(field: SphereField, coupling: Coupling, cutoff: CutoffField) -> float:
     """Domain-variation derivative from the closed formula.
 
@@ -151,7 +141,7 @@ def variation_rhs(field: SphereField, coupling: Coupling, cutoff: CutoffField) -
     """
     grid = field.grid
     x, y = grid.mesh()
-    X, div, jac = eval_cutoff(cutoff, x, y)
+    X, div, jac = cutoff.evaluate(x, y)
     ux, uy = _grad_arrays(field.values, grid.hx, grid.hy)
     e11 = _dot(ux, ux)
     e22 = _dot(uy, uy)
@@ -170,7 +160,7 @@ def _flow_positions(grid: Grid, cutoff: CutoffField, s: float) -> tuple[np.ndarr
     x0, y0 = grid.mesh()
 
     def vel(px, py):
-        X, _, _ = eval_cutoff(cutoff, px, py)
+        X, _, _ = cutoff.evaluate(px, py)
         return X[..., 0], X[..., 1]
 
     k1x, k1y = vel(x0, y0)
@@ -212,11 +202,12 @@ def variation_lhs(field: SphereField, coupling: Coupling, cutoff: CutoffField,
         raise ValueError(f"|s| = {abs(s)} exceeds the grid spacing "
                          f"{max(grid.hx, grid.hy)}; the finite difference would "
                          "leave its validity range")
-    e_plus = _energy_half_of_values(_compose(field, *_flow_positions(grid, cutoff, s)),
-                                    grid, coupling)
-    e_minus = _energy_half_of_values(_compose(field, *_flow_positions(grid, cutoff, -s)),
-                                     grid, coupling)
-    return (e_plus - e_minus) / (2.0 * s)
+
+    def e_half(t: float) -> float:
+        moved = _compose(field, *_flow_positions(grid, cutoff, t))
+        return 0.5 * energy(SphereField(grid, moved), coupling)
+
+    return (e_half(s) - e_half(-s)) / (2.0 * s)
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +303,7 @@ def measure_row(grid: Grid, coupling: Coupling, gsq: np.ndarray, *, t: float,
                 v_norm_sq: float, ps_norm: float, radii: tuple[float, ...],
                 crit: CriticalSet | None) -> LedgerRow:
     """Assemble one ledger row from a precomputed |grad u|^2 field."""
-    density = _density_from_gsq(coupling, gsq)
+    density = coupling.values * gsq
     e_f = float(density.sum() * grid.cell_area)
     flat = int(np.argmax(density))
     i, j = np.unravel_index(flat, grid.shape)

@@ -5,7 +5,8 @@ torus) sampled on a uniform node grid.  The coupling is a strictly positive
 scalar weight f defined on the nodes; for analytic kinds its gradient is
 stored in closed form, for sampled data it is precomputed with central
 differences.  Cutoff fields are compactly supported vector fields used by the
-domain-variation diagnostics.
+domain-variation diagnostics.  The periodic stencil (central differences and
+the 5-point Laplacian) behind every other module also lives here.
 """
 
 from __future__ import annotations
@@ -142,10 +143,6 @@ class Coupling:
         return self.kind == "constant"
 
 
-def _central_diff(values: np.ndarray, h: float, axis: int) -> np.ndarray:
-    return (np.roll(values, -1, axis=axis) - np.roll(values, 1, axis=axis)) / (2.0 * h)
-
-
 def make_coupling(grid: Grid, kind: str, params: dict | None = None) -> Coupling:
     """Build a coupling of the given kind.
 
@@ -206,8 +203,7 @@ def make_coupling(grid: Grid, kind: str, params: dict | None = None) -> Coupling
         raise ValueError(f"sampled values have shape {values.shape}, expected {shape}")
     if not np.all(np.isfinite(values)) or float(values.min()) <= 0:
         raise ValueError("sampled coupling must be positive and finite everywhere")
-    gx = _central_diff(values, grid.hx, axis=0)
-    gy = _central_diff(values, grid.hy, axis=1)
+    gx, gy = _grad_arrays(values, grid.hx, grid.hy)
     return Coupling(grid, norm_kind, values, gx, gy, {})
 
 
@@ -501,7 +497,43 @@ def make_cutoff(grid: Grid, center: tuple[float, float], a: float, b_prime: floa
                        (float(direction[0]), float(direction[1])))
 
 
-def eval_cutoff(cutoff, x, y):
-    """Evaluate a variation generator (CutoffField or UniformVectorField) at
-    points, returning (X, div X, grad X)."""
-    return cutoff.evaluate(x, y)
+# ---------------------------------------------------------------------------
+# Periodic stencil: every difference quotient of the package goes through
+# these two functions
+
+
+def _grad_arrays(a: np.ndarray, hx: float, hy: float) -> tuple[np.ndarray, np.ndarray]:
+    """Periodic central differences (a_x, a_y) along the first two axes."""
+    ax = (np.roll(a, -1, axis=0) - np.roll(a, 1, axis=0)) * (0.5 / hx)
+    ay = (np.roll(a, -1, axis=1) - np.roll(a, 1, axis=1)) * (0.5 / hy)
+    return ax, ay
+
+
+def _stencil(a: np.ndarray, hx: float, hy: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Central differences and the 5-point Laplacian (a_x, a_y, lap a), all
+    from the same four periodic neighbour rolls.
+
+    The arithmetic is that of (xp - xm) * (0.5 / hx) and
+    (xp + xm - 2a) * (1 / hx^2) + (yp + ym - 2a) * (1 / hy^2), operation for
+    operation, but done in place in the rolled copies: this is the flow's hot
+    path, and every temporary freed here is heap memory that the allocator
+    may hand back to the system and fault in again on the next step.
+    """
+    xp = np.roll(a, -1, axis=0)
+    xm = np.roll(a, 1, axis=0)
+    yp = np.roll(a, -1, axis=1)
+    ym = np.roll(a, 1, axis=1)
+    ax = xp - xm
+    ax *= 0.5 / hx
+    ay = yp - ym
+    ay *= 0.5 / hy
+    two_a = 2.0 * a
+    lap = xp
+    lap += xm
+    lap -= two_a
+    lap *= 1.0 / (hx * hx)
+    yp += ym
+    yp -= two_a
+    yp *= 1.0 / (hy * hy)
+    lap += yp
+    return ax, ay, lap

@@ -59,10 +59,8 @@ class FlowConfig:
     t_end: float = 0.0
     snapshot_every: int = 0                 # 0 disables snapshots
     diagnostic_every: int = 1
-    projection: str = "renormalize"
     integrator: str = "euler"
     stationarity_tol: float | None = None   # None: STATIONARITY_FACTOR * area
-    seed: int = 0                           # seed used by config-driven initial data
 
     def __post_init__(self):
         kind = _FLOW_KIND_ALIASES.get(self.flow_kind)
@@ -81,8 +79,6 @@ class FlowConfig:
             raise ValueError(f"t_end must be >= 0, got {self.t_end}")
         if self.snapshot_every < 0 or self.diagnostic_every < 1:
             raise ValueError("snapshot_every must be >= 0 and diagnostic_every >= 1")
-        if self.projection != "renormalize":
-            raise ValueError(f"unsupported projection {self.projection!r}")
         if self.integrator not in INTEGRATORS:
             raise ValueError(f"integrator must be one of {INTEGRATORS}")
         if self.stationarity_tol is not None and self.stationarity_tol < 0:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import Coupling, Grid, _readonly
+from .domain import Coupling, Grid, _grad_arrays, _readonly, _stencil
 from .field import SphereField
 
 TANGENCY_TOL = 1e-10
@@ -63,17 +63,6 @@ def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _grad_arrays(u: np.ndarray, hx: float, hy: float) -> tuple[np.ndarray, np.ndarray]:
-    ux = (np.roll(u, -1, axis=0) - np.roll(u, 1, axis=0)) * (0.5 / hx)
-    uy = (np.roll(u, -1, axis=1) - np.roll(u, 1, axis=1)) * (0.5 / hy)
-    return ux, uy
-
-
-def _laplacian_array(u: np.ndarray, hx: float, hy: float) -> np.ndarray:
-    return ((np.roll(u, -1, axis=0) + np.roll(u, 1, axis=0) - 2.0 * u) / (hx * hx)
-            + (np.roll(u, -1, axis=1) + np.roll(u, 1, axis=1) - 2.0 * u) / (hy * hy))
-
-
 def grad(field: SphereField) -> tuple[np.ndarray, np.ndarray]:
     """Central-difference partials (u_x, u_y), each of shape (nx, ny, 3)."""
     return _grad_arrays(field.values, field.grid.hx, field.grid.hy)
@@ -87,7 +76,7 @@ def grad_squared(field: SphereField) -> np.ndarray:
 
 def laplacian(field: SphereField) -> np.ndarray:
     """5-point periodic Laplacian."""
-    return _laplacian_array(field.values, field.grid.hx, field.grid.hy)
+    return _stencil(field.values, field.grid.hx, field.grid.hy)[2]
 
 
 def _rhs_arrays(u: np.ndarray, hx: float, hy: float, coupling: Coupling,
@@ -95,13 +84,7 @@ def _rhs_arrays(u: np.ndarray, hx: float, hy: float, coupling: Coupling,
     """Shared core: flow velocity v, defect F = f*tau + grad f . grad u, and
     |grad u|^2, all from one stencil evaluation.  `u` need not be exactly
     unit-norm (intermediate Runge-Kutta stages are not)."""
-    xp = np.roll(u, -1, axis=0)
-    xm = np.roll(u, 1, axis=0)
-    yp = np.roll(u, -1, axis=1)
-    ym = np.roll(u, 1, axis=1)
-    ux = (xp - xm) * (0.5 / hx)
-    uy = (yp - ym) * (0.5 / hy)
-    lap = (xp + xm - 2.0 * u) * (1.0 / (hx * hx)) + (yp + ym - 2.0 * u) * (1.0 / (hy * hy))
+    ux, uy, lap = _stencil(u, hx, hy)
     gsq = _dot(ux, ux) + _dot(uy, uy)
     tau = lap + gsq[..., None] * u
     tau = _project(tau, u)
@@ -124,7 +107,7 @@ def tension(field: SphereField) -> TangentField:
     so the normal component is removed to keep downstream identities exact.
     """
     u = field.values
-    tau = _laplacian_array(u, field.grid.hx, field.grid.hy) + grad_squared(field)[..., None] * u
+    tau = laplacian(field) + grad_squared(field)[..., None] * u
     return TangentField(field.grid, _project(tau, u))
 
 
@@ -139,11 +122,6 @@ def ps_residual(field: SphereField, coupling: Coupling) -> TangentField:
     return TangentField(field.grid, F)
 
 
-def gradient_velocity(field: SphereField, coupling: Coupling) -> TangentField:
-    """Steepest-descent velocity; identical to ps_residual."""
-    return ps_residual(field, coupling)
-
-
 def ll_velocity(field: SphereField, coupling: Coupling) -> TangentField:
     """Landau-Lifshitz velocity F + u x F with F = f*tau(u) + grad f . grad u.
 
@@ -154,15 +132,6 @@ def ll_velocity(field: SphereField, coupling: Coupling) -> TangentField:
     v, _, _ = _rhs_arrays(field.values, field.grid.hx, field.grid.hy, coupling,
                           "landau_lifshitz")
     return TangentField(field.grid, v)
-
-
-def velocity(field: SphereField, coupling: Coupling, kind: str) -> TangentField:
-    """Flow velocity for the given kind ("gradient" or "landau_lifshitz")."""
-    if kind == "gradient":
-        return gradient_velocity(field, coupling)
-    if kind == "landau_lifshitz":
-        return ll_velocity(field, coupling)
-    raise ValueError(f"unknown flow kind {kind!r}")
 
 
 def _check_same_grid(field: SphereField, coupling: Coupling) -> None:

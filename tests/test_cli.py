@@ -72,10 +72,27 @@ class TestRun:
                         .replace("flow.safety = 0.25", "flow.dt = 1e306") \
                         .replace("flow.diagnostic_every = 10", "flow.diagnostic_every = 1")
         cfgpath = write_config(tmp_path, text)
-        code = cli.main(["run", cfgpath, "-o", str(tmp_path / "out")])
-        assert code == cli.EXIT_BLOWUP
-        ledger = (tmp_path / "out" / "ledger.csv").read_text().strip().split("\n")
-        assert len(ledger) >= 2   # header plus the pre-failure row
+        for command in ("run", "blowup-experiment"):
+            out = tmp_path / command
+            assert cli.main([command, cfgpath, "-o", str(out)]) == cli.EXIT_BLOWUP, command
+            ledger = (out / "ledger.csv").read_text().strip().split("\n")
+            assert len(ledger) >= 2, command   # header plus the pre-failure row
+
+    @pytest.mark.parametrize("command", ["run", "blowup-experiment"])
+    def test_nonfinite_energy_exits_nonfinite_with_ledger(self, tmp_path, command):
+        # f = 1e308 overflows the initial energy without taking a step
+        text = NOOP.replace("grid.nx = 32\ngrid.ny = 32", "grid.nx = 16\ngrid.ny = 16") \
+                   .replace("coupling.kind = constant",
+                            "coupling.kind = constant\ncoupling.value = 1e308") \
+                   .replace("initial.kind = constant",
+                            "initial.kind = bubble\ninitial.scale = 0.1")
+        cfgpath = write_config(tmp_path, text)
+        out = tmp_path / "out"
+        assert cli.main([command, cfgpath, "-o", str(out)]) == cli.EXIT_NONFINITE
+        ledger = (out / "ledger.csv").read_text().strip().split("\n")
+        assert len(ledger) == 2   # header plus the initial-state row
+        assert not (out / "report.txt").exists()
+        assert not (out / "density_final.pgm").exists()
 
     def test_config_error_exit(self, tmp_path):
         cfgpath = write_config(tmp_path, NOOP + "urknown.key = 1\n")

@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 import spinflow as sf
 from spinflow.diagnostics import DiagnosticsLedger, LedgerRow, measure_row, validate_radii
-from spinflow.operators import _dot, _grad_arrays
+from spinflow.domain import _grad_arrays
+from spinflow.operators import _dot
 
 from conftest import blob_field, cosine_coupling, rotation_matrix, unit_coupling
 
@@ -217,7 +218,7 @@ class TestVariation:
             cut = reference_cutoff(g)
             rhs = sf.variation_rhs(u, c, cut)
             x, y = g.mesh()
-            X, _, _ = sf.eval_cutoff(cut, x, y)
+            X, _, _ = cut.evaluate(x, y)
             ux, uy = _grad_arrays(u.values, g.hx, g.hy)
             duX = X[..., 0, None] * ux + X[..., 1, None] * uy
             F = sf.ps_residual(u, c).values

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import spinflow as sf
-from spinflow.operators import _grad_arrays
 
 from conftest import cosine_coupling, unit_coupling
 
@@ -170,23 +169,23 @@ class TestCutoff:
 
     def test_outside_support_zero(self, grid64):
         cut = self.make(grid64)
-        X, div, jac = sf.eval_cutoff(cut, 0.5 + 0.19, 0.5)
+        X, div, jac = cut.evaluate(0.5 + 0.19, 0.5)
         assert np.all(X == 0.0) and div == 0.0 and np.all(jac == 0.0)
-        X, div, jac = sf.eval_cutoff(cut, 0.5, 0.5 + 0.17)
+        X, div, jac = cut.evaluate(0.5, 0.5 + 0.17)
         assert np.all(X == 0.0) and div == 0.0 and np.all(jac == 0.0)
 
     def test_core_is_unit_translation(self, grid64):
         cut = self.make(grid64)
-        X, div, jac = sf.eval_cutoff(cut, 0.5 + 0.119, 0.5 + 0.079)
+        X, div, jac = cut.evaluate(0.5 + 0.119, 0.5 + 0.079)
         assert X[0] == pytest.approx(1.0) and X[1] == 0.0
         assert div == 0.0 and np.all(jac == 0.0)
 
     def test_ramp_divergence_value(self, grid64):
         # on the ramp b' < xi1 < b with |xi2| <= delta: div X = -1 / (b - b')
         cut = self.make(grid64)
-        _, div, _ = sf.eval_cutoff(cut, 0.5 + 0.15, 0.5)
+        _, div, _ = cut.evaluate(0.5 + 0.15, 0.5)
         assert div == pytest.approx(-1.0 / (0.18 - 0.12))
-        _, div_neg, _ = sf.eval_cutoff(cut, 0.5 - 0.15, 0.5)
+        _, div_neg, _ = cut.evaluate(0.5 - 0.15, 0.5)
         assert div_neg == pytest.approx(1.0 / (0.18 - 0.12))
 
     def test_kink_derivative_is_one_sided_average(self, grid64):
@@ -209,18 +208,18 @@ class TestCutoff:
     def test_jacobian_matches_finite_differences(self, grid64):
         cut = self.make(grid64, direction=(0.8, 0.6))
         pt = (0.5 + 0.11, 0.5 + 0.1)   # inside the smooth part of the bump
-        _, _, jac = sf.eval_cutoff(cut, *pt)
+        _, _, jac = cut.evaluate(*pt)
         eps = 1e-7
         for j, dp in enumerate(((eps, 0.0), (0.0, eps))):
-            Xp, _, _ = sf.eval_cutoff(cut, pt[0] + dp[0], pt[1] + dp[1])
-            Xm, _, _ = sf.eval_cutoff(cut, pt[0] - dp[0], pt[1] - dp[1])
+            Xp, _, _ = cut.evaluate(pt[0] + dp[0], pt[1] + dp[1])
+            Xm, _, _ = cut.evaluate(pt[0] - dp[0], pt[1] - dp[1])
             fd = (Xp - Xm) / (2 * eps)
             assert np.allclose(jac[:, j], fd, atol=1e-6)
 
     def test_divergence_consistency_on_smooth_region(self, grid64):
         cut = self.make(grid64, direction=(0.6, -0.8))
         pt = (0.5 + 0.05, 0.5 - 0.04)
-        _, div, jac = sf.eval_cutoff(cut, *pt)
+        _, div, jac = cut.evaluate(*pt)
         assert div == pytest.approx(jac[0, 0] + jac[1, 1], abs=1e-12)
 
     @settings(max_examples=25, deadline=None)
@@ -234,7 +233,7 @@ class TestCutoff:
         cut = sf.make_cutoff(g, (cx, cy), a=0.8 * bp, b_prime=bp, b=bp + width,
                              delta=delta, direction=(math.cos(angle), math.sin(angle)))
         x, y = g.mesh()
-        X, _, _ = sf.eval_cutoff(cut, x, y)
+        X, _, _ = cut.evaluate(x, y)
         div_h = ((np.roll(X[..., 0], -1, 0) - np.roll(X[..., 0], 1, 0)) / (2 * g.hx)
                  + (np.roll(X[..., 1], -1, 1) - np.roll(X[..., 1], 1, 1)) / (2 * g.hy))
         total = abs(float(div_h.sum()) * g.cell_area)
@@ -250,7 +249,7 @@ class TestCutoff:
             cut = sf.make_cutoff(g, (0.43, 0.51), a=0.08, b_prime=0.12, b=0.18,
                                  delta=0.08, direction=(1.0, 0.0))
             x, y = g.mesh()
-            _, div, _ = sf.eval_cutoff(cut, x, y)
+            _, div, _ = cut.evaluate(x, y)
             total = abs(float(div.sum()) * g.cell_area)
             assert total <= 5.0 * g.hx
 

@@ -51,10 +51,6 @@ class TestFlowConfig:
         with pytest.raises(ValueError):
             sf.FlowConfig(t_end=-1.0)
 
-    def test_projection_pinned(self):
-        with pytest.raises(ValueError):
-            sf.FlowConfig(t_end=1.0, projection="retraction")
-
     def test_bad_integrator(self):
         with pytest.raises(ValueError):
             sf.FlowConfig(t_end=1.0, integrator="rk2")

@@ -4,7 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 import spinflow as sf
 from spinflow.field import SphereField, normalize
-from spinflow.operators import _dot, _grad_arrays
+from spinflow.domain import _grad_arrays
+from spinflow.operators import _dot
 
 from conftest import blob_field, cosine_coupling, random_tangent, unit_coupling
 
@@ -116,7 +117,7 @@ class TestVelocities:
     def test_constant_field_zero(self, grid32):
         u = sf.constant_field(grid32, (0, 0, 1))
         assert np.all(sf.ll_velocity(u, cosine_coupling(grid32)).values == 0.0)
-        assert np.all(sf.gradient_velocity(u, cosine_coupling(grid32)).values == 0.0)
+        assert np.all(sf.ps_residual(u, cosine_coupling(grid32)).values == 0.0)
 
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(0, 10**6))
@@ -133,28 +134,12 @@ class TestVelocities:
         scale = np.maximum(fsq, 1e-30)
         assert (np.abs(vsq - 2 * fsq) / scale).max() <= 1e-10
 
-    def test_gradient_velocity_is_residual(self, grid32):
-        u = blob_field(grid32)
-        c = cosine_coupling(grid32)
-        assert np.array_equal(sf.gradient_velocity(u, c).values,
-                              sf.ps_residual(u, c).values)
-
     def test_ll_minus_precession_is_gradient(self, grid32):
         u = blob_field(grid32)
         c = cosine_coupling(grid32)
         F = sf.ps_residual(u, c).values
         v = sf.ll_velocity(u, c).values
         assert np.allclose(v - np.cross(u.values, F), F, atol=1e-12)
-
-    def test_velocity_dispatch(self, grid32):
-        u = blob_field(grid32)
-        c = cosine_coupling(grid32)
-        assert np.array_equal(sf.velocity(u, c, "gradient").values,
-                              sf.gradient_velocity(u, c).values)
-        assert np.array_equal(sf.velocity(u, c, "landau_lifshitz").values,
-                              sf.ll_velocity(u, c).values)
-        with pytest.raises(ValueError):
-            sf.velocity(u, c, "heat")
 
     def test_relaxed_harmonic_has_small_ll_velocity(self):
         g = sf.make_grid(32, 32, 1.0, 1.0)
