@@ -15,9 +15,8 @@ import sys
 
 from . import __version__, checks, diagnostics, snapshots
 from .config import ConfigError, RunConfig, load_config
-from .domain import critical_points
-from .flow import BlowUpError, dissipation_coefficient, evolve
-from .operators import grad_squared
+from .domain import critical_points  # noqa: F401  (wrapped by name in perfbench/child.py)
+from .flow import BlowUpError, evolve
 from .relax import relax
 
 EXIT_OK = 0
@@ -66,15 +65,6 @@ def _evolve_and_report(cfg: RunConfig, outdir: str, stop_when=None):
         print(f"error: {err}", file=sys.stderr)
         return EXIT_BLOWUP, None, None
     state, ledger = out.state, out.ledger
-    if not ledger.rows:
-        # degenerate no-op run: record the initial state once
-        crit = critical_points(cfg.coupling)
-        ps = diagnostics.ps_norm(state.field, cfg.coupling)
-        v_sq = ps * ps * (2.0 / dissipation_coefficient(cfg.flow.flow_kind))
-        ledger.append(diagnostics.measure_row(cfg.grid, cfg.coupling,
-                                              grad_squared(state.field), t=state.t,
-                                              v_norm_sq=v_sq, ps_norm=ps,
-                                              radii=ledger.radii, crit=crit))
     ledger.to_csv(ledger_path)
     if not all(math.isfinite(r.e_f) for r in ledger.rows):
         print("error: non-finite energy in the ledger", file=sys.stderr)

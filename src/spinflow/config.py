@@ -14,7 +14,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import diagnostics
-from .domain import Coupling, Grid, make_coupling, make_grid
+from .domain import _KIND_ALIASES, Coupling, Grid, make_coupling, make_grid
 from .field import SphereField, bubble_field, constant_field, great_circle_field, perturb
 from .flow import FlowConfig
 
@@ -208,20 +208,21 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
 
     # coupling
     kind = values["coupling.kind"]
+    norm_kind = _KIND_ALIASES.get(kind)
     try:
-        if kind == "constant":
+        if norm_kind == "constant":
             reject_inapplicable("a constant coupling",
                                 ("coupling.base", "coupling.ax", "coupling.ay",
                                  "coupling.file"))
             value = values["coupling.value"]
             params = {"value": 1.0 if value is None else value}
             coupling = make_coupling(grid, kind, params)
-        elif kind in ("cosine", "cosine-product"):
+        elif norm_kind == "cosine-product":
             reject_inapplicable("a cosine coupling", ("coupling.value", "coupling.file"))
             coupling = make_coupling(grid, kind, {"base": values["coupling.base"],
                                                   "ax": values["coupling.ax"],
                                                   "ay": values["coupling.ay"]})
-        elif kind in ("sampled", "custom-sampled"):
+        elif norm_kind == "custom-sampled":
             reject_inapplicable("a sampled coupling",
                                 ("coupling.value", "coupling.base", "coupling.ax",
                                  "coupling.ay"))
@@ -291,7 +292,7 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
     radii = values["diagnostics.radii"]
     if radii is None:
         lmin = min(grid.lx, grid.ly)
-        floor = 2.0 * max(grid.hx, grid.hy)
+        floor = diagnostics.min_resolvable_radius(grid)
         radii = tuple(fr * lmin for fr in _DEFAULT_RADII_FRACTIONS if fr * lmin > 1.02 * floor)
         if not radii:
             radii = (0.45 * lmin,)

@@ -21,7 +21,7 @@ from scipy import ndimage
 
 from .domain import Coupling, CriticalSet, CutoffField, Grid, _grad_arrays, critical_points
 from .field import SphereField
-from .operators import _dot, ps_residual
+from .operators import _dot, grad_squared, ps_residual
 
 #: default concentration threshold, as a fraction of the degree-1 bubble energy
 DEFAULT_EPS_CONC_FRACTION = 0.3
@@ -40,8 +40,7 @@ _LATE_WINDOW_FRACTION = 0.25
 
 def energy_density(field: SphereField, coupling: Coupling) -> np.ndarray:
     """Pointwise f |grad u|^2."""
-    ux, uy = _grad_arrays(field.values, field.grid.hx, field.grid.hy)
-    return coupling.values * (_dot(ux, ux) + _dot(uy, uy))
+    return coupling.values * grad_squared(field)
 
 
 def energy(field: SphereField, coupling: Coupling) -> float:
@@ -53,14 +52,13 @@ def min_resolvable_radius(grid: Grid) -> float:
     return 2.0 * max(grid.hx, grid.hy)
 
 
-def _disc_coverage(grid: Grid, px: float, py: float, r: float) -> np.ndarray:
-    """Per-node covered-area fraction of the periodic disc B_r((px, py)).
-
-    Nodes whose cells lie fully inside/outside get weight 1/0; boundary cells
-    are subsampled on a 4x4 pattern.  Monotone non-decreasing in r per node.
+def _disc_coverage(grid: Grid, x: np.ndarray, y: np.ndarray, d: np.ndarray,
+                   p: tuple[float, float], r: float) -> np.ndarray:
+    """Per-node covered-area fraction of the periodic disc B_r(p), given the
+    node mesh (x, y) and the periodic distance d of every node to p.  Nodes
+    whose cells lie fully inside/outside get weight 1/0; boundary cells are
+    subsampled on a 4x4 pattern.  Monotone non-decreasing in r per node.
     """
-    x, y = grid.mesh()
-    d = np.hypot(grid.wrap_dx(x - px), grid.wrap_dy(y - py))
     margin = 0.5 * math.hypot(grid.hx, grid.hy)
     w = np.zeros(grid.shape)
     w[d <= r - margin] = 1.0
@@ -70,22 +68,36 @@ def _disc_coverage(grid: Grid, px: float, py: float, r: float) -> np.ndarray:
         ox, oy = np.meshgrid(offs * grid.hx, offs * grid.hy, indexing="ij")
         sx = x[ring][:, None] + ox.ravel()[None, :]
         sy = y[ring][:, None] + oy.ravel()[None, :]
-        ds = np.hypot(grid.wrap_dx(sx - px), grid.wrap_dy(sy - py))
+        ds = np.hypot(grid.wrap_dx(sx - p[0]), grid.wrap_dy(sy - p[1]))
         w[ring] = (ds <= r).mean(axis=1)
     return w
 
 
-def _local_energy_from_density(grid: Grid, density: np.ndarray, p, r: float) -> float:
-    if not r > min_resolvable_radius(grid):
-        raise ValueError(
-            f"radius {r} is below the resolvable minimum {min_resolvable_radius(grid)}")
-    w = _disc_coverage(grid, float(p[0]), float(p[1]), float(r))
-    return float((density * w).sum() * grid.cell_area)
+def _local_energies(grid: Grid, density: np.ndarray, p, radii) -> tuple[float, ...]:
+    """Integral of a density over the periodic disc B_r(p) for each radius.
+
+    The node mesh and the distance field to p are built once per centre;
+    the coverage weights of one radius at a time are alive.
+    """
+    radii = validate_radii(grid, radii)
+    if not radii:
+        return ()
+    p = (float(p[0]), float(p[1]))
+    x, y = grid.mesh()
+    d = np.hypot(grid.wrap_dx(x - p[0]), grid.wrap_dy(y - p[1]))
+    return tuple(float((density * _disc_coverage(grid, x, y, d, p, r)).sum() * grid.cell_area)
+                 for r in radii)
 
 
 def local_energy(field: SphereField, coupling: Coupling, p, r: float) -> float:
     """Energy inside the periodic disc B_r(p), boundary cells area-weighted."""
-    return _local_energy_from_density(field.grid, energy_density(field, coupling), p, r)
+    return _local_energies(field.grid, energy_density(field, coupling), p, (r,))[0]
+
+
+def _peak(grid: Grid, density: np.ndarray) -> tuple[tuple[float, float], float]:
+    """Location of the density argmax node and the density there."""
+    i, j = np.unravel_index(int(np.argmax(density)), grid.shape)
+    return (float(i * grid.hx), float(j * grid.hy)), float(density[i, j])
 
 
 # ---------------------------------------------------------------------------
@@ -113,9 +125,8 @@ def hopf_residual(field: SphereField, coupling: Coupling) -> float:
     stationary ones.  The norm decays at second order for smooth fields.
     """
     grid = field.grid
+    psi_x, psi_y = _grad_arrays(hopf(field), grid.hx, grid.hy)
     ux, uy = _grad_arrays(field.values, grid.hx, grid.hy)
-    psi = (_dot(ux, ux) - _dot(uy, uy)) - 2.0j * _dot(ux, uy)
-    psi_x, psi_y = _grad_arrays(psi, grid.hx, grid.hy)
     dpsi_zbar = 0.5 * (psi_x + 1j * psi_y)
     f = coupling.values
     defect = ps_residual(field, coupling).values
@@ -305,16 +316,14 @@ def measure_row(grid: Grid, coupling: Coupling, gsq: np.ndarray, *, t: float,
     """Assemble one ledger row from a precomputed |grad u|^2 field."""
     density = coupling.values * gsq
     e_f = float(density.sum() * grid.cell_area)
-    flat = int(np.argmax(density))
-    i, j = np.unravel_index(flat, grid.shape)
-    ax, ay = float(i * grid.hx), float(j * grid.hy)
-    local = tuple(_local_energy_from_density(grid, density, (ax, ay), r) for r in radii)
+    (ax, ay), peak = _peak(grid, density)
+    local = _local_energies(grid, density, (ax, ay), radii)
     if crit is None or crit.everywhere:
         dist = math.nan
     else:
         dist = crit.distance_to(ax, ay, grid)
     return LedgerRow(t=float(t), e_f=e_f, v_norm_sq=float(v_norm_sq),
-                     ps_norm=float(ps_norm), max_density=float(density[i, j]),
+                     ps_norm=float(ps_norm), max_density=peak,
                      argmax_x=ax, argmax_y=ay, local_e=local, dist_to_crit=dist)
 
 
@@ -386,9 +395,8 @@ def detect_concentration(ledger: DiagnosticsLedger | None, field: SphereField,
     if not radii:
         raise ValueError("at least one probe radius is required")
     density = energy_density(field, coupling)
-    i, j = np.unravel_index(int(np.argmax(density)), grid.shape)
-    loc = (float(i * grid.hx), float(j * grid.hy))
-    profile = tuple((r, _local_energy_from_density(grid, density, loc, r)) for r in radii)
+    loc, _ = _peak(grid, density)
+    profile = tuple(zip(radii, _local_energies(grid, density, loc, radii)))
     detected = profile[-1][1] >= eps_conc
 
     crit = critical_points(coupling)

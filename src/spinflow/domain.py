@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+from scipy import ndimage
 
 MIN_NODES = 8
 
@@ -331,11 +332,7 @@ def _sampled_critical_points(coupling: Coupling, grid: Grid) -> CriticalSet:
     gnorm = gx * gx + gy * gy
     candidates = flip_x & flip_y
     # keep only local minima of |grad f|^2 among candidates (dedupe clusters)
-    neighborhood_min = gnorm.copy()
-    for dx in (-1, 0, 1):
-        for dy in (-1, 0, 1):
-            neighborhood_min = np.minimum(neighborhood_min, np.roll(np.roll(gnorm, dx, 0), dy, 1))
-    candidates &= gnorm <= neighborhood_min
+    candidates &= gnorm <= ndimage.minimum_filter(gnorm, size=3, mode="wrap")
     pts = []
     hx, hy = grid.hx, grid.hy
     for i, j in zip(*np.nonzero(candidates)):

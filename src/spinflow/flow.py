@@ -213,8 +213,9 @@ def evolve(initial: SphereField, coupling: Coupling, config: FlowConfig, *,
     A diagnostics row is recorded every diagnostic_every steps, measured
     before the step it precedes so the recorded velocity is the one that
     advances the state; a final row for the terminal state closes the ledger.
-    t_end = 0 performs no steps and returns an empty ledger.  On blow-up the
-    raised BlowUpError carries the partial ledger and last valid state.
+    t_end = 0 performs no steps and returns the initial state with its one
+    row, the same row a longer run records first.  On blow-up the raised
+    BlowUpError carries the partial ledger and last valid state.
     """
     grid = initial.grid
     dt = resolve_dt(grid, coupling, config)
@@ -259,7 +260,7 @@ def evolve(initial: SphereField, coupling: Coupling, config: FlowConfig, *,
 
     field = initial if u is initial.values else SphereField(grid, u)
     state = FlowState(field=field, t=t, step=nstep)
-    if nstep > 0 and (not ledger.rows or ledger.rows[-1].t < t):
+    if not ledger.rows or ledger.rows[-1].t < t:
         # close the ledger with the terminal state
         v, F, gsq = _rhs_arrays(u, grid.hx, grid.hy, coupling, config.flow_kind)
         v_sq = float(np.einsum("ijk,ijk->", v, v) * grid.cell_area)

@@ -51,11 +51,11 @@ def write_field_csv(path, field: SphereField) -> None:
     g = field.grid
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("x,y,ux,uy,uz\n")
-        for i in range(g.nx):
+        ys = [j * g.hy for j in range(g.ny)]
+        for i, column in enumerate(field.values.tolist()):
             x = i * g.hx
-            for j in range(g.ny):
-                u = [float(c) for c in field.values[i, j]]
-                fh.write(f"{x!r},{j * g.hy!r},{u[0]!r},{u[1]!r},{u[2]!r}\n")
+            fh.writelines(f"{x!r},{y!r},{a!r},{b!r},{c!r}\n"
+                          for y, (a, b, c) in zip(ys, column))
 
 
 def write_density_pgm(path, density: np.ndarray, maxval: int = 255) -> None:
@@ -75,5 +75,4 @@ def write_density_pgm(path, density: np.ndarray, maxval: int = 255) -> None:
     nx, ny = density.shape
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(f"P2\n{nx} {ny}\n{maxval}\n")
-        for j in range(ny):
-            fh.write(" ".join(str(img[i, j]) for i in range(nx)) + "\n")
+        np.savetxt(fh, img.T, fmt="%d")

@@ -306,8 +306,8 @@ class TestLedger:
         row = measure_row(grid64, c, gsq, t=0.0, v_norm_sq=0.0, ps_norm=0.0,
                           radii=(0.2, 0.1), crit=crit)
         assert row.e_f == pytest.approx(sf.energy(u, c), rel=1e-12)
-        assert row.local_e[0] == pytest.approx(
-            sf.local_energy(u, c, (row.argmax_x, row.argmax_y), 0.2), rel=1e-12)
+        for r, le in zip((0.2, 0.1), row.local_e):
+            assert le == sf.local_energy(u, c, (row.argmax_x, row.argmax_y), r)
         assert row.dist_to_crit == pytest.approx(
             crit.distance_to(row.argmax_x, row.argmax_y, grid64))
 
@@ -377,6 +377,22 @@ class TestDetectConcentration:
             min(r.local_e[-1] for r in window))
         text = report.to_text()
         assert "drift_t = " in text and "limiting_local_energy" in text
+
+    @pytest.mark.parametrize("kind", ["gradient", "landau_lifshitz"])
+    def test_matches_terminal_ledger_row(self, grid64, kind):
+        c = cosine_coupling(grid64)
+        u0 = sf.bubble_field(grid64, (0.7, 0.5), 0.1)
+        dt = sf.cfl_dt(grid64, c, 0.25)
+        radii = (0.2, 0.1, 0.05)
+        cfg = sf.FlowConfig(flow_kind=kind, dt_policy="fixed", dt=dt, t_end=30 * dt,
+                            diagnostic_every=7, stationarity_tol=0.0)
+        out = sf.evolve(u0, c, cfg, radii=radii)
+        last = out.ledger.rows[-1]
+        assert last.t == out.state.t
+        report = sf.detect_concentration(out.ledger, out.state.field, c, radii,
+                                         eps_conc=5.0)
+        assert report.location == (last.argmax_x, last.argmax_y)
+        assert report.radius_profile == tuple(zip(radii, last.local_e))
 
     def test_validate_radii_helper(self, grid64):
         assert validate_radii(grid64, (0.2, 0.1)) == (0.2, 0.1)

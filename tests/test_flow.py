@@ -139,11 +139,15 @@ class TestGradientDecay:
 class TestEvolve:
     def test_zero_horizon_returns_initial(self, grid32):
         u = blob_field(grid32)
-        cfg = sf.FlowConfig(t_end=0.0)
-        out = sf.evolve(u, cosine_coupling(grid32), cfg)
+        c = cosine_coupling(grid32)
+        dt = sf.cfl_dt(grid32, c, 0.5)
+        cfg = sf.FlowConfig(dt_policy="fixed", dt=dt, t_end=0.0)
+        out = sf.evolve(u, c, cfg, radii=(0.3, 0.2))
         assert out.state.field is u
         assert out.state.step == 0
-        assert len(out.ledger) == 0
+        longer = sf.evolve(u, c, sf.FlowConfig(dt_policy="fixed", dt=dt, t_end=10 * dt),
+                           radii=(0.3, 0.2))
+        assert out.ledger.rows == [longer.ledger.rows[0]]
 
     def test_constant_field_bitwise_stationary(self, grid32):
         u = sf.constant_field(grid32, (0.1, 0.7, 0.3))
