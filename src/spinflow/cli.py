@@ -89,8 +89,12 @@ def cmd_run(cfg: RunConfig, outdir: str) -> int:
 
 def cmd_relax(cfg: RunConfig, outdir: str) -> int:
     initial = cfg.build_initial()
-    result = relax(initial, cfg.coupling, tol=cfg["relax.tol"],
-                   max_steps=cfg["relax.max_steps"], safety=cfg["relax.safety"])
+    try:
+        result = relax(initial, cfg.coupling, tol=cfg["relax.tol"],
+                       max_steps=cfg["relax.max_steps"], safety=cfg["relax.safety"])
+    except BlowUpError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_BLOWUP
     with open(os.path.join(outdir, "relax_history.csv"), "w", encoding="utf-8") as fh:
         fh.write("step,ps_norm\n")
         for k, value in enumerate(result.history):

@@ -110,7 +110,7 @@ def hopf(field: SphereField) -> np.ndarray:
     Measures the failure of conformality; it is constant (in fact
     holomorphic) for harmonic maps in conformal position.
     """
-    ux, uy = _grad_arrays(field.values, field.grid.hx, field.grid.hy)
+    ux, uy = _grad_arrays(field.values.transpose(2, 0, 1), field.grid.hx, field.grid.hy)
     return (_dot(ux, ux) - _dot(uy, uy)) - 2.0j * _dot(ux, uy)
 
 
@@ -126,12 +126,10 @@ def hopf_residual(field: SphereField, coupling: Coupling) -> float:
     """
     grid = field.grid
     psi_x, psi_y = _grad_arrays(hopf(field), grid.hx, grid.hy)
-    ux, uy = _grad_arrays(field.values, grid.hx, grid.hy)
+    ux, uy = _grad_arrays(field.values.transpose(2, 0, 1), grid.hx, grid.hy)
     dpsi_zbar = 0.5 * (psi_x + 1j * psi_y)
-    f = coupling.values
-    defect = ps_residual(field, coupling).values
-    w = (defect - coupling.grad_x[..., None] * ux - coupling.grad_y[..., None] * uy) \
-        / f[..., None]
+    defect = ps_residual(field, coupling).values.transpose(2, 0, 1)
+    w = (defect - coupling.grad_x * ux - coupling.grad_y * uy) / coupling.values
     # <w, du/dz> with du/dz = (u_x - i u_y) / 2
     pairing = 0.5 * (_dot(w, ux) - 1j * _dot(w, uy))
     residual = dpsi_zbar - 2.0 * pairing
@@ -153,7 +151,7 @@ def variation_rhs(field: SphereField, coupling: Coupling, cutoff: CutoffField) -
     grid = field.grid
     x, y = grid.mesh()
     X, div, jac = cutoff.evaluate(x, y)
-    ux, uy = _grad_arrays(field.values, grid.hx, grid.hy)
+    ux, uy = _grad_arrays(field.values.transpose(2, 0, 1), grid.hx, grid.hy)
     e11 = _dot(ux, ux)
     e22 = _dot(uy, uy)
     e12 = _dot(ux, uy)

@@ -7,6 +7,12 @@ stored in closed form, for sampled data it is precomputed with central
 differences.  Cutoff fields are compactly supported vector fields used by the
 domain-variation diagnostics.  The periodic stencil (central differences and
 the 5-point Laplacian) behind every other module also lives here.
+
+Layout: the stencil differentiates along the last two axes of its input,
+which index the node (i, j).  Scalars are (nx, ny); vector fields are
+stored component-major, (3, nx, ny), one contiguous plane per component,
+which is how the flow kernels hold them.  SphereField values are node-major
+(nx, ny, 3) and reach the stencil as their values.transpose(2, 0, 1) view.
 """
 
 from __future__ import annotations
@@ -496,41 +502,72 @@ def make_cutoff(grid: Grid, center: tuple[float, float], a: float, b_prime: floa
 
 # ---------------------------------------------------------------------------
 # Periodic stencil: every difference quotient of the package goes through
-# these two functions
+# these functions, along the last two axes
+
+
+def _wrap_pad(a: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The periodic neighbours (x+1, x-1, y+1, y-1) of every node of `a`, as
+    contiguous views, shaped like `a`, of one padded copy in a's own dtype.
+
+    Each (nx, ny) plane is stored flat between a copy of its last row and a
+    copy of its first row, so node (i, j) has its x-neighbours ny elements
+    away and its y-neighbours one element away.  In the first and last
+    column that y-neighbour falls into the adjacent row; `_y_columns` redoes
+    those two columns.
+    """
+    nx, ny = a.shape[-2:]
+    n = nx * ny
+    p = np.empty(a.shape[:-2] + (n + 2 * ny,), dtype=a.dtype)
+
+    def shifted(offset: int) -> np.ndarray:
+        return p[..., ny + offset:ny + offset + n].reshape(a.shape)
+
+    shifted(0)[...] = a
+    shifted(-ny)[..., 0, :] = a[..., -1, :]
+    shifted(ny)[..., -1, :] = a[..., 0, :]
+    return shifted(ny), shifted(-ny), shifted(1), shifted(-1)
+
+
+def _y_columns(op, a: np.ndarray, out: np.ndarray) -> None:
+    """Redo op(y+1, y-1) in the first and last column of `out` with the
+    periodic neighbours, which lie in the same row."""
+    op(a[..., 1], a[..., -1], out=out[..., 0])
+    op(a[..., 0], a[..., -2], out=out[..., -1])
 
 
 def _grad_arrays(a: np.ndarray, hx: float, hy: float) -> tuple[np.ndarray, np.ndarray]:
-    """Periodic central differences (a_x, a_y) along the first two axes."""
-    ax = (np.roll(a, -1, axis=0) - np.roll(a, 1, axis=0)) * (0.5 / hx)
-    ay = (np.roll(a, -1, axis=1) - np.roll(a, 1, axis=1)) * (0.5 / hy)
-    return ax, ay
+    """Periodic central differences (a_x, a_y) along the last two axes."""
+    a = np.asarray(a)
+    xp, xm, yp, ym = _wrap_pad(a)
+    dy = yp - ym
+    _y_columns(np.subtract, a, dy)
+    return (xp - xm) * (0.5 / hx), dy * (0.5 / hy)
 
 
 def _stencil(a: np.ndarray, hx: float, hy: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Central differences and the 5-point Laplacian (a_x, a_y, lap a), all
-    from the same four periodic neighbour rolls.
+    """Central differences and the 5-point Laplacian (a_x, a_y, lap a) along
+    the last two axes, all read from one periodically padded copy.
 
     The arithmetic is that of (xp - xm) * (0.5 / hx) and
     (xp + xm - 2a) * (1 / hx^2) + (yp + ym - 2a) * (1 / hy^2), operation for
-    operation, but done in place in the rolled copies: this is the flow's hot
+    operation, but done in place in the results: this is the flow's hot
     path, and every temporary freed here is heap memory that the allocator
     may hand back to the system and fault in again on the next step.
     """
-    xp = np.roll(a, -1, axis=0)
-    xm = np.roll(a, 1, axis=0)
-    yp = np.roll(a, -1, axis=1)
-    ym = np.roll(a, 1, axis=1)
+    a = np.asarray(a)
+    xp, xm, yp, ym = _wrap_pad(a)
     ax = xp - xm
     ax *= 0.5 / hx
     ay = yp - ym
+    _y_columns(np.subtract, a, ay)
     ay *= 0.5 / hy
     two_a = 2.0 * a
-    lap = xp
-    lap += xm
+    lap = xp + xm
     lap -= two_a
     lap *= 1.0 / (hx * hx)
-    yp += ym
-    yp -= two_a
-    yp *= 1.0 / (hy * hy)
-    lap += yp
+    lap_y = yp + ym
+    _y_columns(np.add, a, lap_y)
+    lap_y -= two_a
+    lap_y *= 1.0 / (hy * hy)
+    lap += lap_y
     return ax, ay, lap

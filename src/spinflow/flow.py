@@ -9,10 +9,15 @@ Along both flows the weighted energy E = sum f |grad u|^2 dA dissipates; the
 discrete dissipation identity  E(t1) - E(t2) ~ c * int |du/dt|^2 dt  holds
 with c = 2 for the gradient flow and c = 1 for the Landau-Lifshitz flow
 (the velocity of the latter satisfies |v|^2 = 2 |F|^2).
+
+Inside the stepping loops the field is a component-major (3, nx, ny) array
+(the layout of the operators kernel); it is converted once on entry and back
+to a node-major SphereField only where one leaves the loop.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +25,7 @@ import numpy as np
 from . import diagnostics
 from .domain import Coupling, Grid, critical_points
 from .field import SphereField
-from .operators import FLOW_KINDS, TangentField, _rhs_arrays
+from .operators import FLOW_KINDS, TangentField, _dot, _node_major, _rhs_arrays
 
 DT_POLICIES = ("fixed", "cfl")
 INTEGRATORS = ("euler", "rk4")
@@ -130,10 +135,20 @@ def dissipation_coefficient(flow_kind: str) -> float:
     raise ValueError(f"unknown flow kind {flow_kind!r}")
 
 
+def _component_major(field: SphereField) -> np.ndarray:
+    return np.ascontiguousarray(field.values.transpose(2, 0, 1))
+
+
+def _sphere_field(grid: Grid, u: np.ndarray) -> SphereField:
+    return SphereField(grid, u.transpose(1, 2, 0))
+
+
 def _raise_blowup(bad_values: np.ndarray, what: str, t: float, nstep: int):
+    """Raise BlowUpError at the first non-finite (i, j) node of a
+    component-major array."""
     bad = ~np.isfinite(bad_values)
     if bad.ndim == 3:
-        bad = bad.any(axis=-1)
+        bad = bad.any(axis=0)
     node = tuple(int(k) for k in np.argwhere(bad)[0]) if bad.any() else None
     raise BlowUpError(
         f"blow-up under-resolved: non-finite {what} at node {node}, t = {t}, step = {nstep}",
@@ -141,24 +156,28 @@ def _raise_blowup(bad_values: np.ndarray, what: str, t: float, nstep: int):
 
 
 def _project_unit(w: np.ndarray, t: float, nstep: int) -> np.ndarray:
-    norms = np.sqrt(np.einsum("ijk,ijk->ij", w, w))
-    ok = np.isfinite(norms) & (norms > 0.0)
-    if not ok.all():
+    """Normalise each node of the component-major w in place and return it."""
+    norms = np.sqrt(_dot(w, w))
+    if not (norms.min() > 0.0 and math.isfinite(norms.max())):   # NaN fails both
+        ok = np.isfinite(norms) & (norms > 0.0)
         node = tuple(int(k) for k in np.argwhere(~ok)[0])
         raise BlowUpError(
             f"blow-up under-resolved: renormalization failed at node {node}, "
             f"t = {t}, step = {nstep}", node=node, t=t, step=nstep)
-    return w / norms[..., None]
+    w /= norms
+    return w
 
 
 def _start_of_step(u: np.ndarray, grid: Grid, coupling: Coupling,
                    config: FlowConfig, t: float, nstep: int):
-    """Velocity, defect and |grad u|^2 at the step start, with the
-    non-finite-velocity blow-up check."""
+    """Velocity, defect, |grad u|^2 and int |v|^2 at the step start, with the
+    non-finite-velocity blow-up check.  A non-finite entry makes the sum
+    non-finite, so the nodewise scan runs only when the sum is."""
     v, F, gsq = _rhs_arrays(u, grid.hx, grid.hy, coupling, config.flow_kind)
-    if not np.all(np.isfinite(v)):
+    v_sq = float(np.einsum("ijk,ijk->", v, v) * grid.cell_area)
+    if not math.isfinite(v_sq) and not np.all(np.isfinite(v)):
         _raise_blowup(v, "velocity", t, nstep)
-    return v, F, gsq
+    return v, F, gsq, v_sq
 
 
 def _apply_step(u: np.ndarray, v: np.ndarray, dt: float, grid: Grid,
@@ -191,17 +210,16 @@ def step(state: FlowState, coupling: Coupling, config: FlowConfig) -> FlowState:
     """
     grid = state.field.grid
     dt = resolve_dt(grid, coupling, config)
+    u = _component_major(state.field)
     try:
-        v, _, _ = _start_of_step(state.field.values, grid, coupling, config,
-                                 state.t, state.step)
-        u_new = _apply_step(state.field.values, v, dt, grid, coupling, config,
-                            state.t, state.step)
+        v, _, _, _ = _start_of_step(u, grid, coupling, config, state.t, state.step)
+        u_new = _apply_step(u, v, dt, grid, coupling, config, state.t, state.step)
     except BlowUpError as err:
         err.state = state
         raise
-    field = state.field if u_new is state.field.values else SphereField(grid, u_new)
+    field = state.field if u_new is u else _sphere_field(grid, u_new)
     return FlowState(field=field, t=state.t + dt, step=state.step + 1,
-                     last_velocity=TangentField(grid, v))
+                     last_velocity=TangentField(grid, _node_major(v)))
 
 
 def evolve(initial: SphereField, coupling: Coupling, config: FlowConfig, *,
@@ -222,7 +240,8 @@ def evolve(initial: SphereField, coupling: Coupling, config: FlowConfig, *,
     tol = stationarity_tol(grid, config)
     crit = critical_points(coupling)
     ledger = diagnostics.DiagnosticsLedger(radii=tuple(radii))
-    u = initial.values
+    u = _component_major(initial)
+    moved = False    # a flag, so that no copy of the initial array stays alive
     t = 0.0
     nstep = 0
     reason = "t_end"
@@ -238,8 +257,7 @@ def evolve(initial: SphereField, coupling: Coupling, config: FlowConfig, *,
 
     while t < config.t_end:
         try:
-            v, F, gsq = _start_of_step(u, grid, coupling, config, t, nstep)
-            v_sq = float(np.einsum("ijk,ijk->", v, v) * grid.cell_area)
+            v, F, gsq, v_sq = _start_of_step(u, grid, coupling, config, t, nstep)
             if nstep % config.diagnostic_every == 0:
                 row = record_row(v_sq, F, gsq)
                 if stop_when is not None and stop_when(row):
@@ -248,21 +266,23 @@ def evolve(initial: SphereField, coupling: Coupling, config: FlowConfig, *,
             if v_sq < tol * tol:
                 reason = "stationary"
                 break
-            u = _apply_step(u, v, dt, grid, coupling, config, t, nstep)
+            u_next = _apply_step(u, v, dt, grid, coupling, config, t, nstep)
+            moved = moved or u_next is not u
+            u = u_next
         except BlowUpError as err:
             err.ledger = ledger
-            err.state = FlowState(SphereField(grid, u), t=t, step=nstep)
+            err.state = FlowState(_sphere_field(grid, u), t=t, step=nstep)
             raise
         t += dt
         nstep += 1
         if config.snapshot_every and nstep % config.snapshot_every == 0 and snapshot_sink:
-            snapshot_sink(FlowState(SphereField(grid, u), t=t, step=nstep))
+            snapshot_sink(FlowState(_sphere_field(grid, u), t=t, step=nstep))
 
-    field = initial if u is initial.values else SphereField(grid, u)
-    state = FlowState(field=field, t=t, step=nstep)
     if not ledger.rows or ledger.rows[-1].t < t:
         # close the ledger with the terminal state
         v, F, gsq = _rhs_arrays(u, grid.hx, grid.hy, coupling, config.flow_kind)
         v_sq = float(np.einsum("ijk,ijk->", v, v) * grid.cell_area)
         record_row(v_sq, F, gsq)
-    return EvolveResult(state=state, ledger=ledger, reason=reason)
+    field = _sphere_field(grid, u) if moved else initial
+    return EvolveResult(state=FlowState(field=field, t=t, step=nstep), ledger=ledger,
+                        reason=reason)

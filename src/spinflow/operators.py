@@ -5,6 +5,12 @@ the gradient, the 5-point stencil for the Laplacian.  Fields returned as
 TangentField are re-projected onto the tangent plane of the paired sphere
 field, so the per-node orthogonality invariant holds at machine precision
 rather than merely at stencil order.
+
+Layout: SphereField and TangentField values are node-major (nx, ny, 3).  The
+kernels below (`_dot`, `_project`, `_cross`, `_rhs_arrays`) work on
+component-major (3, nx, ny) arrays, whose three planes are contiguous; the
+public operators pass `values.transpose(2, 0, 1)` views in and return
+node-major results.
 """
 
 from __future__ import annotations
@@ -47,56 +53,86 @@ class TangentField:
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.einsum("ijk,ijk->ij", a, b)
+    """Per-node <a, b> of component-major arrays, summed as (0 + 2) + 1: the
+    order np.einsum("ijk,ijk->ij") takes over contiguous node-major arrays
+    on numpy 2.4, so the bits match the node-major kernel
+    (tests/test_stencil_reference.py compares them)."""
+    out = a[0] * b[0]
+    out += a[2] * b[2]
+    out += a[1] * b[1]
+    return out
 
 
 def _project(w: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Tangential projection w - <w, u> u (assumes |u| = 1)."""
-    return w - _dot(w, u)[..., None] * u
+    """Tangential projection w - <w, u> u in place (assumes |u| = 1)."""
+    d = _dot(w, u)
+    for k in range(3):
+        w[k] -= d * u[k]
+    return w
 
 
-def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    out = np.empty_like(a)
-    out[..., 0] = a[..., 1] * b[..., 2] - a[..., 2] * b[..., 1]
-    out[..., 1] = a[..., 2] * b[..., 0] - a[..., 0] * b[..., 2]
-    out[..., 2] = a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
+def _cross(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """a x b of component-major arrays, written into `out`."""
+    for k, i, j in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        np.multiply(a[i], b[j], out=out[k])
+        out[k] -= a[j] * b[i]
     return out
+
+
+def _node_major(a: np.ndarray) -> np.ndarray:
+    """Contiguous node-major (nx, ny, 3) copy of a component-major array."""
+    return np.ascontiguousarray(a.transpose(1, 2, 0))
 
 
 def grad(field: SphereField) -> tuple[np.ndarray, np.ndarray]:
     """Central-difference partials (u_x, u_y), each of shape (nx, ny, 3)."""
-    return _grad_arrays(field.values, field.grid.hx, field.grid.hy)
+    ux, uy = _grad_arrays(field.values.transpose(2, 0, 1), field.grid.hx, field.grid.hy)
+    return _node_major(ux), _node_major(uy)
 
 
 def grad_squared(field: SphereField) -> np.ndarray:
     """|grad u|^2 = |u_x|^2 + |u_y|^2 per node, from the same stencil as grad."""
-    ux, uy = grad(field)
+    ux, uy = _grad_arrays(field.values.transpose(2, 0, 1), field.grid.hx, field.grid.hy)
     return _dot(ux, ux) + _dot(uy, uy)
 
 
 def laplacian(field: SphereField) -> np.ndarray:
     """5-point periodic Laplacian."""
-    return _stencil(field.values, field.grid.hx, field.grid.hy)[2]
+    return _node_major(_stencil(field.values.transpose(2, 0, 1),
+                                field.grid.hx, field.grid.hy)[2])
+
+
+def _tension_arrays(u: np.ndarray, hx: float, hy: float):
+    """(tau, u_x, u_y, |grad u|^2) of a component-major u from one stencil
+    evaluation, tau = lap u + |grad u|^2 u tangentially projected."""
+    ux, uy, tau = _stencil(u, hx, hy)
+    gsq = _dot(ux, ux)
+    gsq += _dot(uy, uy)
+    for k in range(3):
+        tau[k] += gsq * u[k]
+    return _project(tau, u), ux, uy, gsq
 
 
 def _rhs_arrays(u: np.ndarray, hx: float, hy: float, coupling: Coupling,
                 kind: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Shared core: flow velocity v, defect F = f*tau + grad f . grad u, and
-    |grad u|^2, all from one stencil evaluation.  `u` need not be exactly
-    unit-norm (intermediate Runge-Kutta stages are not)."""
-    ux, uy, lap = _stencil(u, hx, hy)
-    gsq = _dot(ux, ux) + _dot(uy, uy)
-    tau = lap + gsq[..., None] * u
-    tau = _project(tau, u)
-    F = coupling.values[..., None] * tau \
-        + coupling.grad_x[..., None] * ux + coupling.grad_y[..., None] * uy
-    F = _project(F, u)
-    if kind == "gradient":
-        v = F
-    elif kind == "landau_lifshitz":
-        v = F + _cross(u, F)
-    else:
+    |grad u|^2, all from one stencil evaluation, for a component-major
+    (3, nx, ny) u.  `u` need not be exactly unit-norm (intermediate
+    Runge-Kutta stages are not).  The arithmetic runs in place in the
+    stencil's arrays; for the gradient flow v is F."""
+    if kind not in FLOW_KINDS:
         raise ValueError(f"unknown flow kind {kind!r}")
+    F, ux, uy, gsq = _tension_arrays(u, hx, hy)
+    F *= coupling.values
+    ux *= coupling.grad_x
+    F += ux
+    uy *= coupling.grad_y
+    F += uy
+    _project(F, u)
+    if kind == "gradient":
+        return F, F, gsq
+    v = _cross(u, F, out=ux)
+    v += F
     return v, F, gsq
 
 
@@ -106,9 +142,9 @@ def tension(field: SphereField) -> TangentField:
     The continuum tension is automatically tangent; the discrete one is not,
     so the normal component is removed to keep downstream identities exact.
     """
-    u = field.values
-    tau = laplacian(field) + grad_squared(field)[..., None] * u
-    return TangentField(field.grid, _project(tau, u))
+    g = field.grid
+    tau = _tension_arrays(field.values.transpose(2, 0, 1), g.hx, g.hy)[0]
+    return TangentField(g, _node_major(tau))
 
 
 def ps_residual(field: SphereField, coupling: Coupling) -> TangentField:
@@ -118,8 +154,9 @@ def ps_residual(field: SphereField, coupling: Coupling) -> TangentField:
     energy; along the gradient flow it doubles as the flow velocity.
     """
     _check_same_grid(field, coupling)
-    _, F, _ = _rhs_arrays(field.values, field.grid.hx, field.grid.hy, coupling, "gradient")
-    return TangentField(field.grid, F)
+    _, F, _ = _rhs_arrays(field.values.transpose(2, 0, 1), field.grid.hx, field.grid.hy,
+                          coupling, "gradient")
+    return TangentField(field.grid, _node_major(F))
 
 
 def ll_velocity(field: SphereField, coupling: Coupling) -> TangentField:
@@ -129,9 +166,9 @@ def ll_velocity(field: SphereField, coupling: Coupling) -> TangentField:
     are orthogonal and |v|^2 = 2 |F|^2 per node.
     """
     _check_same_grid(field, coupling)
-    v, _, _ = _rhs_arrays(field.values, field.grid.hx, field.grid.hy, coupling,
-                          "landau_lifshitz")
-    return TangentField(field.grid, v)
+    v, _, _ = _rhs_arrays(field.values.transpose(2, 0, 1), field.grid.hx, field.grid.hy,
+                          coupling, "landau_lifshitz")
+    return TangentField(field.grid, _node_major(v))
 
 
 def _check_same_grid(field: SphereField, coupling: Coupling) -> None:

@@ -7,13 +7,14 @@ gradient flow is the steepest-descent path, so relaxation uses it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .domain import Coupling
 from .field import SphereField
-from .flow import _project_unit, _raise_blowup, cfl_dt
+from .flow import _component_major, _project_unit, _raise_blowup, _sphere_field, cfl_dt
 from .operators import _rhs_arrays
 
 DEFAULT_SAFETY = 0.8
@@ -33,7 +34,8 @@ def relax(initial: SphereField, coupling: Coupling, tol: float,
 
     Returns the relaxed field and the recorded defect-norm history.  If
     max_steps is exhausted first, the best iterate seen is returned flagged
-    not converged.
+    not converged.  A non-finite defect (its norm is then NaN or inf) raises
+    BlowUpError carrying the first offending node.
     """
     if not tol > 0:
         raise ValueError(f"relax tolerance must be positive, got {tol}")
@@ -47,13 +49,13 @@ def relax(initial: SphereField, coupling: Coupling, tol: float,
         _, F, _ = _rhs_arrays(values, grid.hx, grid.hy, coupling, "gradient")
         return F, float(np.sqrt(np.einsum("ijk,ijk->", F, F) * cell))
 
-    u = initial.values
+    u = u0 = _component_major(initial)
     F, ps = defect(u)
     history = [ps]
     best_u, best_ps = u, ps
     nstep = 0
-    while ps >= tol and nstep < max_steps:
-        if not np.all(np.isfinite(F)):
+    while not ps < tol and nstep < max_steps:
+        if not math.isfinite(ps) and not np.all(np.isfinite(F)):
             _raise_blowup(F, "defect", nstep * dt, nstep)
         u = _project_unit(u + dt * F, nstep * dt, nstep)
         nstep += 1
@@ -63,6 +65,6 @@ def relax(initial: SphereField, coupling: Coupling, tol: float,
             best_u, best_ps = u, ps
     converged = ps < tol
     final = u if converged else best_u
-    field = initial if final is initial.values else SphereField(grid, final)
+    field = initial if final is u0 else _sphere_field(grid, final)
     return RelaxResult(field=field, history=tuple(history), converged=converged,
                        steps=nstep)

@@ -61,18 +61,20 @@ def write_field_csv(path, field: SphereField) -> None:
 def write_density_pgm(path, density: np.ndarray, maxval: int = 255) -> None:
     """ASCII PGM (P2) heatmap of a non-negative scalar field, max-scaled.
 
-    Rows run along the y index, columns along x; an all-zero field maps to
-    all-black.
+    Rows run along the y index, columns along x; an all-zero field, and one
+    with a NaN or +inf value (an overflowed density), map to all-black.
     """
     density = np.asarray(density, dtype=np.float64)
     if density.ndim != 2:
         raise ValueError("density must be a 2D array")
     top = float(density.max())
-    if top > 0:
+    if 0.0 < top < np.inf:
         img = np.rint(np.clip(density, 0.0, None) / top * maxval).astype(int)
     else:
         img = np.zeros(density.shape, dtype=int)
     nx, ny = density.shape
+    # each pixel value formatted once, then looked up
+    lut = np.array([str(k) for k in range(maxval + 1)], dtype=object)
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(f"P2\n{nx} {ny}\n{maxval}\n")
-        np.savetxt(fh, img.T, fmt="%d")
+        fh.writelines(" ".join(row) + "\n" for row in lut[img.T].tolist())

@@ -148,6 +148,18 @@ class TestRelaxCommand:
         assert cli.main(["relax", cfgpath, "-o", str(tmp_path / "out")]) \
             == cli.EXIT_NOT_CONVERGED
 
+    def test_nonfinite_defect_exits_blowup(self, tmp_path):
+        # f = 1e308 overflows the initial defect: a blow-up, not a slow relaxation
+        text = NOOP.replace("grid.nx = 32\ngrid.ny = 32", "grid.nx = 16\ngrid.ny = 16") \
+                   .replace("coupling.kind = constant",
+                            "coupling.kind = constant\ncoupling.value = 1e308") \
+                   .replace("initial.kind = constant",
+                            "initial.kind = bubble\ninitial.scale = 0.1")
+        cfgpath = write_config(tmp_path, text)
+        out = tmp_path / "out"
+        assert cli.main(["relax", cfgpath, "-o", str(out)]) == cli.EXIT_BLOWUP
+        assert not (out / "snapshot_final.bin").exists()
+
 
 class TestCheckCommand:
     def test_constant_setup_passes(self, tmp_path):

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 import spinflow as sf
 from spinflow.diagnostics import DiagnosticsLedger, LedgerRow, measure_row, validate_radii
-from spinflow.domain import _grad_arrays
 from spinflow.operators import _dot
 
 from conftest import blob_field, cosine_coupling, rotation_matrix, unit_coupling
@@ -118,7 +117,8 @@ class TestHopf:
         assert np.all(psi.real > 0.0)
         assert np.abs(psi.imag).max() <= 1e-12
         ux, _ = sf.grad(sf.great_circle_field(grid64))
-        assert np.allclose(psi.real, _dot(ux, ux), rtol=1e-12)
+        assert np.allclose(psi.real, _dot(ux.transpose(2, 0, 1), ux.transpose(2, 0, 1)),
+                           rtol=1e-12)
 
     def test_bubble_core_conformality(self):
         # the profile is conformal, so |Psi| in the core decays at O(h^2)
@@ -219,7 +219,7 @@ class TestVariation:
             rhs = sf.variation_rhs(u, c, cut)
             x, y = g.mesh()
             X, _, _ = cut.evaluate(x, y)
-            ux, uy = _grad_arrays(u.values, g.hx, g.hy)
+            ux, uy = sf.grad(u)
             duX = X[..., 0, None] * ux + X[..., 1, None] * uy
             F = sf.ps_residual(u, c).values
             pairing = -float(np.einsum("ijk,ijk->", F, duX)) * g.cell_area

@@ -3,7 +3,8 @@ import pytest
 
 import spinflow as sf
 from spinflow.field import SphereField, normalize
-from spinflow.flow import FlowState
+from spinflow.domain import Coupling
+from spinflow.flow import FlowState, _project_unit
 
 from conftest import blob_field, cosine_coupling, rotation_matrix, unit_coupling
 
@@ -257,3 +258,50 @@ class TestEvolve:
         e = out.ledger.column("e_f")
         assert np.all(np.diff(e) <= 1e-8 * e[0])
         assert out.state.field.max_norm_deviation <= 1e-12
+
+
+class TestBlowUpNode:
+    """The reported node is the (i, j) grid index of the first non-finite
+    value.  A NaN planted in the coupling gradient at a node with i != j on a
+    non-square grid must come back as exactly that node."""
+
+    NODE = (13, 5)
+
+    def planted(self):
+        g = sf.make_grid(24, 20, 1.3, 0.7)
+        c = cosine_coupling(g)
+        grad_x = c.grad_x.copy()
+        grad_x[self.NODE] = np.nan
+        bad = Coupling(g, c.kind, c.values, grad_x, c.grad_y, c.params)
+        return g, bad, blob_field(g)
+
+    @pytest.mark.parametrize("kind", ["gradient", "landau_lifshitz"])
+    def test_step(self, kind):
+        g, c, u = self.planted()
+        cfg = sf.FlowConfig(flow_kind=kind, t_end=1.0)
+        with pytest.raises(sf.BlowUpError) as exc:
+            sf.step(FlowState(field=u), c, cfg)
+        assert exc.value.node == self.NODE
+
+    @pytest.mark.parametrize("kind", ["gradient", "landau_lifshitz"])
+    def test_evolve(self, kind):
+        g, c, u = self.planted()
+        cfg = sf.FlowConfig(flow_kind=kind, t_end=1.0, stationarity_tol=0.0)
+        with pytest.raises(sf.BlowUpError) as exc:
+            sf.evolve(u, c, cfg)
+        assert exc.value.node == self.NODE
+        assert exc.value.state.field.values.shape == g.shape + (3,)
+
+    def test_relax(self):
+        _, c, u = self.planted()
+        with pytest.raises(sf.BlowUpError) as exc:
+            sf.relax(u, c, tol=1e-8, max_steps=10)
+        assert exc.value.node == self.NODE
+
+    def test_renormalization(self):
+        # the projection guard reads the component-major step array
+        w = np.ones((3, 24, 20))
+        w[2][self.NODE] = np.nan
+        with pytest.raises(sf.BlowUpError) as exc:
+            _project_unit(w, 0.0, 0)
+        assert exc.value.node == self.NODE

@@ -10,6 +10,12 @@ from spinflow.operators import _dot
 from conftest import blob_field, cosine_coupling, random_tangent, unit_coupling
 
 
+def node_dot(a, b):
+    """Per-node <a, b> of node-major (nx, ny, 3) arrays, through the
+    component-major kernel."""
+    return _dot(a.transpose(2, 0, 1), b.transpose(2, 0, 1))
+
+
 class TestGrad:
     def test_constant_field_zero(self, grid32):
         ux, uy = sf.grad(sf.constant_field(grid32, (0, 0, 1)))
@@ -21,7 +27,7 @@ class TestGrad:
         kh = k * grid64.hx
         # central differences give sin(kh)/h, off by k (kh)^2 / 6 at leading order
         expected_err = k * kh * kh / 6
-        err = np.abs(np.sqrt(_dot(ux, ux)) - k).max()
+        err = np.abs(np.sqrt(node_dot(ux, ux)) - k).max()
         assert err <= 1.1 * expected_err
         assert np.all(uy == 0.0)
 
@@ -30,14 +36,14 @@ class TestGrad:
         for n in (32, 64, 128):
             g = sf.make_grid(n, n, 1.0, 1.0)
             ux, _ = sf.grad(sf.great_circle_field(g))
-            errs.append(np.abs(np.sqrt(_dot(ux, ux)) - 2 * np.pi).max())
+            errs.append(np.abs(np.sqrt(node_dot(ux, ux)) - 2 * np.pi).max())
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.2)
         assert errs[1] / errs[2] == pytest.approx(4.0, rel=0.2)
 
     def test_grad_squared_consistent(self, grid32):
         u = blob_field(grid32)
         ux, uy = sf.grad(u)
-        assert np.allclose(sf.grad_squared(u), _dot(ux, ux) + _dot(uy, uy), rtol=1e-14)
+        assert np.allclose(sf.grad_squared(u), node_dot(ux, ux) + node_dot(uy, uy), rtol=1e-14)
 
 
 class TestTension:
@@ -129,8 +135,8 @@ class TestVelocities:
         c = cosine_coupling(g)
         v = sf.ll_velocity(u, c).values
         F = sf.ps_residual(u, c).values
-        vsq = _dot(v, v)
-        fsq = _dot(F, F)
+        vsq = node_dot(v, v)
+        fsq = node_dot(F, F)
         scale = np.maximum(fsq, 1e-30)
         assert (np.abs(vsq - 2 * fsq) / scale).max() <= 1e-10
 
@@ -191,11 +197,11 @@ class TestIntegrationByParts:
             x, y = g.mesh()
             w = np.stack([np.sin(2 * np.pi * y), np.cos(2 * np.pi * x),
                           np.sin(2 * np.pi * x) * np.cos(2 * np.pi * y)], axis=-1)
-            xi = w - _dot(w, u.values)[..., None] * u.values
+            xi = w - node_dot(w, u.values)[..., None] * u.values
             F = sf.ps_residual(u, c).values
             lhs = float(np.einsum("ijk,ijk->", F, xi)) * g.cell_area
-            ux, uy = _grad_arrays(u.values, g.hx, g.hy)
-            xix, xiy = _grad_arrays(xi, g.hx, g.hy)
+            ux, uy = _grad_arrays(u.values.transpose(2, 0, 1), g.hx, g.hy)
+            xix, xiy = _grad_arrays(xi.transpose(2, 0, 1), g.hx, g.hy)
             rhs = -float((c.values * (_dot(ux, xix) + _dot(uy, xiy))).sum()) * g.cell_area
             errs.append(abs(lhs - rhs))
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.5)

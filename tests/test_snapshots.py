@@ -100,6 +100,22 @@ class TestPgm:
             snapshots.write_density_pgm(path, d)
             assert path.read_bytes() == loop_density_pgm(d).encode("ascii"), name
 
+    @pytest.mark.parametrize("maxval", [1, 15, 1000, 65535])
+    def test_bytes_equal_loop_writer_other_maxval(self, tmp_path, maxval):
+        g = sf.make_grid(24, 20, 1.3, 0.7)
+        density = sf.energy_density(sf.perturb(blob_field(g), 0.3, 5), unit_coupling(g))
+        path = tmp_path / "density.pgm"
+        snapshots.write_density_pgm(path, density, maxval=maxval)
+        assert path.read_bytes() == loop_density_pgm(density, maxval).encode("ascii")
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_overflowed_density_is_black(self, tmp_path, bad):
+        density = np.ones((8, 9))
+        density[2, 3] = bad
+        path = tmp_path / "bad.pgm"
+        snapshots.write_density_pgm(path, density)
+        assert path.read_text() == "P2\n8 9\n255\n" + "0 0 0 0 0 0 0 0\n" * 9
+
     def test_zero_field(self, tmp_path, grid32):
         path = tmp_path / "zero.pgm"
         snapshots.write_density_pgm(path, np.zeros(grid32.shape))

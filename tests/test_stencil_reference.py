@@ -1,0 +1,184 @@
+"""The component-major stencil core against the node-major np.roll/einsum
+kernel it replaced, kept here as the reference.
+
+The per-node arithmetic is unchanged, so v, F and |grad u|^2 must be equal
+bit for bit.  Only full-grid sums over a component-major array accumulate in
+another order; those are held to a relative bound fixed beforehand from the
+float64 epsilon (2.2e-16) and the grid size.
+"""
+
+import numpy as np
+import pytest
+
+import spinflow as sf
+from spinflow.domain import _grad_arrays, _stencil
+from spinflow.operators import _rhs_arrays
+from spinflow.relax import DEFAULT_SAFETY
+
+from conftest import blob_field, cosine_coupling
+
+#: relative bound on a reordered full-grid float64 sum of positive terms
+SUM_RTOL = 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Reference kernel: node-major (nx, ny, 3) arrays, four periodic rolls,
+# einsum dot products
+
+
+def ref_stencil(a, hx, hy):
+    xp = np.roll(a, -1, axis=0)
+    xm = np.roll(a, 1, axis=0)
+    yp = np.roll(a, -1, axis=1)
+    ym = np.roll(a, 1, axis=1)
+    ax = (xp - xm) * (0.5 / hx)
+    ay = (yp - ym) * (0.5 / hy)
+    lap = (xp + xm - 2.0 * a) * (1.0 / (hx * hx)) + (yp + ym - 2.0 * a) * (1.0 / (hy * hy))
+    return ax, ay, lap
+
+
+def ref_dot(a, b):
+    return np.einsum("ijk,ijk->ij", a, b)
+
+
+def ref_project(w, u):
+    return w - ref_dot(w, u)[..., None] * u
+
+
+def ref_cross(a, b):
+    out = np.empty_like(a)
+    out[..., 0] = a[..., 1] * b[..., 2] - a[..., 2] * b[..., 1]
+    out[..., 1] = a[..., 2] * b[..., 0] - a[..., 0] * b[..., 2]
+    out[..., 2] = a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
+    return out
+
+
+def ref_rhs_arrays(u, hx, hy, coupling, kind):
+    ux, uy, lap = ref_stencil(u, hx, hy)
+    gsq = ref_dot(ux, ux) + ref_dot(uy, uy)
+    tau = ref_project(lap + gsq[..., None] * u, u)
+    F = coupling.values[..., None] * tau \
+        + coupling.grad_x[..., None] * ux + coupling.grad_y[..., None] * uy
+    F = ref_project(F, u)
+    v = F if kind == "gradient" else F + ref_cross(u, F)
+    return v, F, gsq
+
+
+def ref_euler(u, coupling, dt, kind, nsteps):
+    """Node-major Euler loop with einsum renormalisation; returns the final
+    state and the einsum sums int |v|^2 and |F|_{L2} of every visited state."""
+    g = coupling.grid
+    v_sq, ps = [], []
+    for n in range(nsteps + 1):
+        v, F, _ = ref_rhs_arrays(u, g.hx, g.hy, coupling, kind)
+        v_sq.append(float(np.einsum("ijk,ijk->", v, v) * g.cell_area))
+        ps.append(float(np.sqrt(np.einsum("ijk,ijk->", F, F) * g.cell_area)))
+        if n < nsteps:
+            w = u + dt * v
+            u = w / np.sqrt(ref_dot(w, w))[..., None]
+    return u, v_sq, ps
+
+
+def component_major(values):
+    return np.ascontiguousarray(values.transpose(2, 0, 1))
+
+
+GRIDS = [(24, 20, 1.3, 0.7), (64, 64, 1.0, 1.0), (128, 128, 1.0, 1.0)]
+
+
+@pytest.fixture(params=GRIDS, ids=lambda p: f"{p[0]}x{p[1]}")
+def setup(request):
+    g = sf.make_grid(*request.param)
+    return g, cosine_coupling(g), sf.perturb(blob_field(g), 0.3, 5)
+
+
+class TestReferenceKernel:
+    @pytest.mark.parametrize("kind", ["gradient", "landau_lifshitz"])
+    def test_rhs_bit_identical(self, setup, kind):
+        g, c, u = setup
+        ref = ref_rhs_arrays(u.values, g.hx, g.hy, c, kind)
+        v, F, gsq = _rhs_arrays(component_major(u.values), g.hx, g.hy, c, kind)
+        assert np.array_equal(v.transpose(1, 2, 0), ref[0])
+        assert np.array_equal(F.transpose(1, 2, 0), ref[1])
+        assert np.array_equal(gsq, ref[2])
+
+    @pytest.mark.parametrize("kind", ["gradient", "landau_lifshitz"])
+    def test_rhs_bit_identical_off_the_sphere(self, setup, kind):
+        # an RK4 stage u + dt/2 k1 is not unit-norm
+        g, c, u = setup
+        dt = 0.5 * sf.cfl_dt(g, c, 0.5)
+        k1 = ref_rhs_arrays(u.values, g.hx, g.hy, c, kind)[0]
+        stage = u.values + dt * k1
+        assert np.abs(np.linalg.norm(stage, axis=-1) - 1.0).max() > 1e-8
+        ref = ref_rhs_arrays(stage, g.hx, g.hy, c, kind)
+        v, F, gsq = _rhs_arrays(component_major(stage), g.hx, g.hy, c, kind)
+        assert np.array_equal(v.transpose(1, 2, 0), ref[0])
+        assert np.array_equal(F.transpose(1, 2, 0), ref[1])
+        assert np.array_equal(gsq, ref[2])
+
+    def test_public_operators_bit_identical(self, setup):
+        g, c, u = setup
+        ux, uy, lap = ref_stencil(u.values, g.hx, g.hy)
+        new_ux, new_uy = sf.grad(u)
+        assert np.array_equal(new_ux, ux) and np.array_equal(new_uy, uy)
+        assert np.array_equal(sf.laplacian(u), lap)
+        assert np.array_equal(sf.grad_squared(u), ref_dot(ux, ux) + ref_dot(uy, uy))
+        gsq = ref_dot(ux, ux) + ref_dot(uy, uy)
+        assert np.array_equal(sf.tension(u).values,
+                              ref_project(lap + gsq[..., None] * u.values, u.values))
+        assert np.array_equal(sf.ps_residual(u, c).values,
+                              ref_rhs_arrays(u.values, g.hx, g.hy, c, "gradient")[1])
+        assert np.array_equal(sf.ll_velocity(u, c).values,
+                              ref_rhs_arrays(u.values, g.hx, g.hy, c, "landau_lifshitz")[0])
+
+    def test_complex_scalar_keeps_its_dtype(self):
+        # the Hopf field psi is a complex (nx, ny) array
+        g = sf.make_grid(24, 20, 1.3, 0.7)
+        psi = sf.hopf(sf.perturb(blob_field(g), 0.3, 5))
+        assert psi.dtype == np.complex128 and np.abs(psi.imag).max() > 0
+        ref = ref_stencil(psi, g.hx, g.hy)
+        for got, want in zip(_stencil(psi, g.hx, g.hy), ref):
+            assert got.dtype == np.complex128
+            assert np.array_equal(got, want)
+        for got, want in zip(_grad_arrays(psi, g.hx, g.hy), ref[:2]):
+            assert got.dtype == np.complex128
+            assert np.array_equal(got, want)
+
+
+class TestReorderedSums:
+    @pytest.mark.parametrize("kind", ["gradient", "landau_lifshitz"])
+    @pytest.mark.parametrize("spec,nsteps", [((24, 20, 1.3, 0.7), 30),
+                                             ((128, 128, 1.0, 1.0), 5)],
+                             ids=["24x20", "128x128"])
+    def test_ledger_sums_and_states(self, kind, spec, nsteps):
+        g = sf.make_grid(*spec)
+        c = cosine_coupling(g)
+        u0 = sf.perturb(blob_field(g), 0.3, 5)
+        dt = sf.cfl_dt(g, c, 0.5)
+        cfg = sf.FlowConfig(flow_kind=kind, dt_policy="fixed", dt=dt,
+                            t_end=(nsteps - 0.5) * dt, stationarity_tol=0.0)
+        out = sf.evolve(u0, c, cfg)
+        assert out.state.step == nsteps
+        u_ref, v_sq, ps = ref_euler(u0.values, c, dt, kind, nsteps)
+        assert np.array_equal(out.state.field.values, u_ref)
+        rows = out.ledger.rows
+        assert len(rows) == nsteps + 1
+        for row, want_v, want_ps in zip(rows, v_sq, ps):
+            assert row.v_norm_sq == pytest.approx(want_v, rel=SUM_RTOL, abs=0.0)
+            assert row.ps_norm == pytest.approx(want_ps, rel=SUM_RTOL, abs=0.0)
+
+    def test_relax_history_and_result(self):
+        g = sf.make_grid(24, 20, 1.3, 0.7)
+        c = cosine_coupling(g)
+        u0 = sf.perturb(blob_field(g), 0.3, 5)
+        res = sf.relax(u0, c, tol=1e-30, max_steps=40)
+        assert res.steps == 40 and not res.converged
+        dt = sf.cfl_dt(g, c, DEFAULT_SAFETY)
+        _, _, ps = ref_euler(u0.values, c, dt, "gradient", 40)
+        assert len(res.history) == len(ps)
+        for got, want in zip(res.history, ps):
+            assert got == pytest.approx(want, rel=SUM_RTOL, abs=0.0)
+        # the returned best iterate is one of the reference states
+        best = int(np.argmin(ps))
+        u_best = ref_euler(u0.values, c, dt, "gradient", best)[0]
+        assert np.array_equal(res.field.values, u_best)
