@@ -16,7 +16,7 @@ import numpy as np
 from . import diagnostics
 from .domain import _KIND_ALIASES, Coupling, Grid, make_coupling, make_grid
 from .field import SphereField, bubble_field, constant_field, great_circle_field, perturb
-from .flow import FlowConfig
+from .flow import FlowConfig, _step_budget, resolve_dt
 
 REQUIRED_SECTIONS = ("grid", "coupling", "initial", "flow")
 
@@ -287,6 +287,11 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
             stationarity_tol=values["flow.stationarity_tol"])
     except ValueError as err:
         raise ConfigError(f"flow: {err}")
+    try:
+        # a CFL step that underflows to 0 (a huge max f) would never reach t_end
+        _step_budget(flow.t_end, resolve_dt(grid, coupling, flow))
+    except ValueError as err:
+        fail("flow.t_end", str(err))
 
     # diagnostics
     radii = values["diagnostics.radii"]

@@ -10,9 +10,10 @@ discrete dissipation identity  E(t1) - E(t2) ~ c * int |du/dt|^2 dt  holds
 with c = 2 for the gradient flow and c = 1 for the Landau-Lifshitz flow
 (the velocity of the latter satisfies |v|^2 = 2 |F|^2).
 
-Inside the stepping loops the field is a component-major (3, nx, ny) array
-(the layout of the operators kernel); it is converted once on entry and back
-to a node-major SphereField only where one leaves the loop.
+`step`, `evolve` and `relax` share one stepping loop on an integer step
+budget, t = t0 + n dt.  Inside it the field is a component-major (3, nx, ny)
+array (the layout of the operators kernel), converted back to a node-major
+SphereField only where one leaves the loop.
 """
 
 from __future__ import annotations
@@ -135,23 +136,20 @@ def dissipation_coefficient(flow_kind: str) -> float:
     raise ValueError(f"unknown flow kind {flow_kind!r}")
 
 
-def _component_major(field: SphereField) -> np.ndarray:
-    return np.ascontiguousarray(field.values.transpose(2, 0, 1))
+def _sphere_field(like: SphereField, u: np.ndarray) -> SphereField:
+    """The component-major u as a SphereField on the grid of `like`; `like`
+    itself while u still holds its values (no step moved the state)."""
+    if np.array_equal(u, like.values.transpose(2, 0, 1)):
+        return like
+    return SphereField(like.grid, u.transpose(1, 2, 0))
 
 
-def _sphere_field(grid: Grid, u: np.ndarray) -> SphereField:
-    return SphereField(grid, u.transpose(1, 2, 0))
-
-
-def _raise_blowup(bad_values: np.ndarray, what: str, t: float, nstep: int):
-    """Raise BlowUpError at the first non-finite (i, j) node of a
-    component-major array."""
-    bad = ~np.isfinite(bad_values)
-    if bad.ndim == 3:
-        bad = bad.any(axis=0)
-    node = tuple(int(k) for k in np.argwhere(bad)[0]) if bad.any() else None
+def _raise_blowup(velocity: np.ndarray, t: float, nstep: int):
+    """Raise BlowUpError at the first (i, j) node where the component-major
+    velocity is not finite."""
+    node = tuple(int(k) for k in np.argwhere(~np.isfinite(velocity).all(axis=0))[0])
     raise BlowUpError(
-        f"blow-up under-resolved: non-finite {what} at node {node}, t = {t}, step = {nstep}",
+        f"blow-up under-resolved: non-finite velocity at node {node}, t = {t}, step = {nstep}",
         node=node, t=t, step=nstep)
 
 
@@ -168,121 +166,139 @@ def _project_unit(w: np.ndarray, t: float, nstep: int) -> np.ndarray:
     return w
 
 
-def _start_of_step(u: np.ndarray, grid: Grid, coupling: Coupling,
-                   config: FlowConfig, t: float, nstep: int):
-    """Velocity, defect, |grad u|^2 and int |v|^2 at the step start, with the
-    non-finite-velocity blow-up check.  A non-finite entry makes the sum
-    non-finite, so the nodewise scan runs only when the sum is."""
-    v, F, gsq = _rhs_arrays(u, grid.hx, grid.hy, coupling, config.flow_kind)
-    v_sq = float(np.einsum("ijk,ijk->", v, v) * grid.cell_area)
-    if not math.isfinite(v_sq) and not np.all(np.isfinite(v)):
-        _raise_blowup(v, "velocity", t, nstep)
-    return v, F, gsq, v_sq
-
-
-def _apply_step(u: np.ndarray, v: np.ndarray, dt: float, grid: Grid,
+def _apply_step(u: np.ndarray, v: np.ndarray, v_sq: float, dt: float, grid: Grid,
                 coupling: Coupling, config: FlowConfig, t: float, nstep: int) -> np.ndarray:
-    """Apply one accepted step from the precomputed start velocity."""
-    hx, hy = grid.hx, grid.hy
+    """Apply one accepted step from the start velocity v, with v_sq = int |v|^2."""
     if config.integrator == "euler":
         incr = v
     else:
-        k2, _, _ = _rhs_arrays(u + (0.5 * dt) * v, hx, hy, coupling, config.flow_kind)
-        k3, _, _ = _rhs_arrays(u + (0.5 * dt) * k2, hx, hy, coupling, config.flow_kind)
-        k4, _, _ = _rhs_arrays(u + dt * k3, hx, hy, coupling, config.flow_kind)
+        k2, _, _ = _rhs_arrays(u + (0.5 * dt) * v, grid.hx, grid.hy, coupling, config.flow_kind)
+        k3, _, _ = _rhs_arrays(u + (0.5 * dt) * k2, grid.hx, grid.hy, coupling, config.flow_kind)
+        k4, _, _ = _rhs_arrays(u + dt * k3, grid.hx, grid.hy, coupling, config.flow_kind)
         incr = (v + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
         if not np.all(np.isfinite(incr)):
-            _raise_blowup(incr, "velocity", t, nstep)
-    if not incr.any():
+            _raise_blowup(incr, t, nstep)
+    # v_sq > 0 already shows that v, the Euler increment, is not zero
+    if not (incr is v and v_sq > 0) and not incr.any():
         # exact stationary point: keep the state bitwise unchanged
         return u
     with np.errstate(over="ignore", invalid="ignore"):
         # overflow here is the under-resolved blow-up signature; the
         # projection guard below turns it into a structured error
-        return _project_unit(u + dt * incr, t, nstep)
+        w = dt * incr
+        return _project_unit(np.add(w, u, out=w), t, nstep)
+
+
+def _step_budget(t_end: float, dt: float) -> int:
+    """The smallest n with n * dt >= t_end, so a run ends less than dt past t_end."""
+    if t_end <= 0:
+        return 0
+    if not dt > 0 or not math.isfinite(t_end / dt):
+        raise ValueError(f"t_end = {t_end} cannot be reached in steps of dt = {dt}")
+    n = math.ceil(t_end / dt)     # the quotient is rounded: n may be one off either way
+    while n * dt < t_end:
+        n += 1
+    while (n - 1) * dt >= t_end:
+        n -= 1
+    return n
+
+
+def _steps(field: SphereField, coupling: Coupling, config: FlowConfig, dt: float,
+           budget: int, t0: float = 0.0, n0: int = 0, snapshot_sink=None):
+    """The one stepping loop from `field` at step n0, time t0: t = t0 + n dt.
+
+    Yields (n, t, u, v, F, |grad u|^2, int |v|^2), u and v component-major,
+    at the start of each step n < budget once v has passed the blow-up
+    check, then for the terminal state n = budget unchecked; the caller
+    stops early by leaving the loop.  snapshot_sink gets each snapshot_every-th
+    new state before its check.  A BlowUpError carries the last valid state.
+    """
+    grid = field.grid
+    u = np.ascontiguousarray(field.values.transpose(2, 0, 1))
+    for n in range(budget + 1):
+        t = t0 + n * dt
+        if n and snapshot_sink and config.snapshot_every and n % config.snapshot_every == 0:
+            snapshot_sink(FlowState(_sphere_field(field, u), t=t, step=n0 + n))
+        try:
+            v, F, gsq = _rhs_arrays(u, grid.hx, grid.hy, coupling, config.flow_kind)
+            v_sq = float(np.einsum("ijk,ijk->", v, v) * grid.cell_area)
+            # a non-finite entry makes the sum non-finite, so the nodewise
+            # scan runs only when the sum is
+            if n < budget and not math.isfinite(v_sq) and not np.all(np.isfinite(v)):
+                _raise_blowup(v, t, n0 + n)
+            yield n, t, u, v, F, gsq, v_sq
+            if n < budget:
+                u = _apply_step(u, v, v_sq, dt, grid, coupling, config, t, n0 + n)
+        except BlowUpError as err:
+            err.state = FlowState(_sphere_field(field, u), t=t, step=n0 + n)
+            raise
 
 
 def step(state: FlowState, coupling: Coupling, config: FlowConfig) -> FlowState:
-    """Advance one explicit step u <- Pi(u + dt v) with nodewise renormalization.
+    """Advance one explicit step u <- Pi(u + dt v) with nodewise renormalization
+    (the first iteration of the stepping loop).
 
     Raises BlowUpError carrying the offending node if the velocity is
     non-finite (the configured motion is no longer resolved by the grid).
     """
     grid = state.field.grid
     dt = resolve_dt(grid, coupling, config)
-    u = _component_major(state.field)
     try:
-        v, _, _, _ = _start_of_step(u, grid, coupling, config, state.t, state.step)
-        u_new = _apply_step(u, v, dt, grid, coupling, config, state.t, state.step)
+        _, t, u, v, _, _, v_sq = next(_steps(state.field, coupling, config, dt, 1,
+                                          t0=state.t, n0=state.step))
+        u_new = _apply_step(u, v, v_sq, dt, grid, coupling, config, t, state.step)
     except BlowUpError as err:
         err.state = state
         raise
-    field = state.field if u_new is u else _sphere_field(grid, u_new)
-    return FlowState(field=field, t=state.t + dt, step=state.step + 1,
-                     last_velocity=TangentField(grid, _node_major(v)))
+    return FlowState(field=_sphere_field(state.field, u_new), t=state.t + dt,
+                     step=state.step + 1, last_velocity=TangentField(grid, _node_major(v)))
 
 
 def evolve(initial: SphereField, coupling: Coupling, config: FlowConfig, *,
            radii: tuple[float, ...] = (),
            snapshot_sink=None, diagnostic_sink=None, stop_when=None) -> EvolveResult:
-    """Run the configured flow from `initial` until t_end, stationarity
-    (|v|_{L2} below the configured tolerance), or a stop callback.
+    """Run the configured flow from `initial` for the smallest n steps with
+    n dt >= t_end (the clock reads t = step * dt), or until stationarity
+    (|v|_{L2} below the configured tolerance) or a stop callback.
 
     A diagnostics row is recorded every diagnostic_every steps, measured
     before the step it precedes so the recorded velocity is the one that
-    advances the state; a final row for the terminal state closes the ledger.
-    t_end = 0 performs no steps and returns the initial state with its one
-    row, the same row a longer run records first.  On blow-up the raised
-    BlowUpError carries the partial ledger and last valid state.
+    advances the state; stop_when sees these rows.  A final row for the
+    terminal state closes the ledger.  t_end = 0 performs no steps and
+    returns the initial state with its one row, the same row a longer run
+    records first.  On blow-up the raised BlowUpError carries the partial
+    ledger and last valid state.
     """
     grid = initial.grid
     dt = resolve_dt(grid, coupling, config)
+    budget = _step_budget(config.t_end, dt)
     tol = stationarity_tol(grid, config)
     crit = critical_points(coupling)
     ledger = diagnostics.DiagnosticsLedger(radii=tuple(radii))
-    u = _component_major(initial)
-    moved = False    # a flag, so that no copy of the initial array stays alive
-    t = 0.0
-    nstep = 0
     reason = "t_end"
-
-    def record_row(v_sq: float, F: np.ndarray, gsq: np.ndarray):
-        ps = float(np.sqrt(np.einsum("ijk,ijk->", F, F) * grid.cell_area))
-        row = diagnostics.measure_row(grid, coupling, gsq, t=t, v_norm_sq=v_sq,
-                                      ps_norm=ps, radii=ledger.radii, crit=crit)
-        ledger.append(row)
-        if diagnostic_sink is not None:
-            diagnostic_sink(row)
-        return row
-
-    while t < config.t_end:
-        try:
-            v, F, gsq, v_sq = _start_of_step(u, grid, coupling, config, t, nstep)
-            if nstep % config.diagnostic_every == 0:
-                row = record_row(v_sq, F, gsq)
-                if stop_when is not None and stop_when(row):
-                    reason = "stopped"
-                    break
-            if v_sq < tol * tol:
+    try:
+        for n, t, u, _, F, gsq, v_sq in _steps(initial, coupling, config, dt, budget,
+                                               snapshot_sink=snapshot_sink):
+            cadence = n % config.diagnostic_every == 0
+            stationary = v_sq < tol * tol
+            if cadence or stationary or n == budget:   # a terminal state closes the ledger
+                ps = float(np.sqrt(np.einsum("ijk,ijk->", F, F) * grid.cell_area))
+                row = diagnostics.measure_row(grid, coupling, gsq, t=t, v_norm_sq=v_sq,
+                                              ps_norm=ps, radii=ledger.radii, crit=crit)
+                ledger.append(row)
+                if diagnostic_sink is not None:
+                    diagnostic_sink(row)
+            if n == budget:
+                break
+            if cadence and stop_when is not None and stop_when(row):
+                reason = "stopped"
+                break
+            if stationary:
                 reason = "stationary"
                 break
-            u_next = _apply_step(u, v, dt, grid, coupling, config, t, nstep)
-            moved = moved or u_next is not u
-            u = u_next
-        except BlowUpError as err:
-            err.ledger = ledger
-            err.state = FlowState(_sphere_field(grid, u), t=t, step=nstep)
-            raise
-        t += dt
-        nstep += 1
-        if config.snapshot_every and nstep % config.snapshot_every == 0 and snapshot_sink:
-            snapshot_sink(FlowState(_sphere_field(grid, u), t=t, step=nstep))
-
-    if not ledger.rows or ledger.rows[-1].t < t:
-        # close the ledger with the terminal state
-        v, F, gsq = _rhs_arrays(u, grid.hx, grid.hy, coupling, config.flow_kind)
-        v_sq = float(np.einsum("ijk,ijk->", v, v) * grid.cell_area)
-        record_row(v_sq, F, gsq)
-    field = _sphere_field(grid, u) if moved else initial
-    return EvolveResult(state=FlowState(field=field, t=t, step=nstep), ledger=ledger,
-                        reason=reason)
+            del u   # held here, it would keep two states alive across the next rhs
+    except BlowUpError as err:
+        err.ledger = ledger
+        raise
+    return EvolveResult(state=FlowState(field=_sphere_field(initial, u), t=t, step=n),
+                        ledger=ledger, reason=reason)

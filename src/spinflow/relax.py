@@ -10,12 +10,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .domain import Coupling
 from .field import SphereField
-from .flow import _component_major, _project_unit, _raise_blowup, _sphere_field, cfl_dt
-from .operators import _rhs_arrays
+from .flow import FlowConfig, _sphere_field, _steps, cfl_dt
+from .flow import _project_unit  # noqa: F401  (wrapped by name in perfbench/child.py)
+from .operators import _rhs_arrays  # noqa: F401  (wrapped by name in perfbench/child.py)
 
 DEFAULT_SAFETY = 0.8
 
@@ -30,41 +29,28 @@ class RelaxResult:
 
 def relax(initial: SphereField, coupling: Coupling, tol: float,
           max_steps: int, safety: float = DEFAULT_SAFETY) -> RelaxResult:
-    """Evolve the gradient flow until the defect norm drops below tol.
+    """Run the stepping loop of `evolve` on the gradient flow, with
+    dt = cfl_dt(safety), until the defect norm drops below tol.
 
     Returns the relaxed field and the recorded defect-norm history.  If
     max_steps is exhausted first, the best iterate seen is returned flagged
     not converged.  A non-finite defect (its norm is then NaN or inf) raises
-    BlowUpError carrying the first offending node.
+    BlowUpError carrying the first offending node and the last valid state.
     """
     if not tol > 0:
         raise ValueError(f"relax tolerance must be positive, got {tol}")
     if max_steps < 0:
         raise ValueError("max_steps must be >= 0")
-    grid = initial.grid
-    dt = cfl_dt(grid, coupling, safety)
-    cell = grid.cell_area
-
-    def defect(values):
-        _, F, _ = _rhs_arrays(values, grid.hx, grid.hy, coupling, "gradient")
-        return F, float(np.sqrt(np.einsum("ijk,ijk->", F, F) * cell))
-
-    u = u0 = _component_major(initial)
-    F, ps = defect(u)
-    history = [ps]
-    best_u, best_ps = u, ps
-    nstep = 0
-    while not ps < tol and nstep < max_steps:
-        if not math.isfinite(ps) and not np.all(np.isfinite(F)):
-            _raise_blowup(F, "defect", nstep * dt, nstep)
-        u = _project_unit(u + dt * F, nstep * dt, nstep)
-        nstep += 1
-        F, ps = defect(u)
+    dt = cfl_dt(initial.grid, coupling, safety)
+    config = FlowConfig(flow_kind="gradient", safety=safety)
+    history = []
+    for n, _, u, _, _, _, v_sq in _steps(initial, coupling, config, dt, max_steps):
+        ps = math.sqrt(v_sq)     # on the gradient flow the velocity is the defect
         history.append(ps)
-        if ps < best_ps:
+        if n == 0 or ps < best_ps:
             best_u, best_ps = u, ps
+        if ps < tol:
+            break
     converged = ps < tol
-    final = u if converged else best_u
-    field = initial if final is u0 else _sphere_field(grid, final)
-    return RelaxResult(field=field, history=tuple(history), converged=converged,
-                       steps=nstep)
+    return RelaxResult(field=_sphere_field(initial, u if converged else best_u),
+                       history=tuple(history), converged=converged, steps=n)

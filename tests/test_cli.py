@@ -94,6 +94,17 @@ class TestRun:
         assert not (out / "report.txt").exists()
         assert not (out / "density_final.pgm").exists()
 
+    @pytest.mark.parametrize("command", ["run", "blowup-experiment"])
+    def test_underflowed_step_exits_config(self, tmp_path, command):
+        # f = 1e308 makes the CFL step 0.0; stepping to t_end would never end
+        text = NOOP.replace("grid.nx = 32\ngrid.ny = 32", "grid.nx = 16\ngrid.ny = 16") \
+                   .replace("coupling.kind = constant",
+                            "coupling.kind = constant\ncoupling.value = 1e308") \
+                   .replace("initial.kind = constant", "initial.kind = great-circle") \
+                   .replace("flow.t_end = 0.0", "flow.t_end = 1e-3")
+        cfgpath = write_config(tmp_path, text)
+        assert cli.main([command, cfgpath, "-o", str(tmp_path / "out")]) == cli.EXIT_CONFIG
+
     def test_config_error_exit(self, tmp_path):
         cfgpath = write_config(tmp_path, NOOP + "urknown.key = 1\n")
         assert cli.main(["run", cfgpath]) == cli.EXIT_CONFIG

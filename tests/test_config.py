@@ -100,6 +100,18 @@ class TestDomainValidation:
         with pytest.raises(ConfigError, match="flow"):
             parse_config(bad)
 
+    def test_underflowed_step_refused(self):
+        # max f = 1e308 makes the CFL step 0.0, which never reaches t_end
+        bad = MINIMAL.replace("coupling.kind = constant",
+                              "coupling.kind = constant\ncoupling.value = 1e308") \
+                     .replace("initial.kind = constant", "initial.kind = great-circle") \
+                     .replace("grid.nx = 32\ngrid.ny = 32", "grid.nx = 16\ngrid.ny = 16") \
+                     .replace("flow.t_end = 0.0", "flow.t_end = 1e-3")
+        with pytest.raises(ConfigError, match="flow.t_end"):
+            parse_config(bad)
+        # with t_end = 0 no step is taken, so the run still reports the energy
+        parse_config(bad.replace("flow.t_end = 1e-3", "flow.t_end = 0.0"))
+
     def test_radii_validated(self):
         bad = MINIMAL + "diagnostics.radii = 0.1, 0.2\n"
         with pytest.raises(ConfigError, match="diagnostics.radii"):

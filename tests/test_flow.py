@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 import spinflow as sf
+from spinflow import flow as flow_module
 from spinflow.field import SphereField, normalize
 from spinflow.domain import Coupling
-from spinflow.flow import FlowState, _project_unit
+from spinflow.flow import FlowState, _project_unit, _step_budget
+from spinflow.relax import DEFAULT_SAFETY
 
 from conftest import blob_field, cosine_coupling, rotation_matrix, unit_coupling
 
@@ -225,6 +227,35 @@ class TestEvolve:
         assert exc.value.state is not None
         assert exc.value.node is not None
 
+    def test_blowup_writes_the_due_snapshot_before_the_check(self, grid32, monkeypatch):
+        # the velocity of state 3 turns non-finite: its snapshot is written,
+        # its row is not, and the error carries state 3
+        calls = []
+        rhs = flow_module._rhs_arrays
+
+        def failing_rhs(*args):
+            v, F, gsq = rhs(*args)
+            calls.append(1)
+            if len(calls) == 4:
+                v = v.copy()
+                v[1, 7, 2] = np.nan
+            return v, F, gsq
+
+        monkeypatch.setattr(flow_module, "_rhs_arrays", failing_rhs)
+        c = cosine_coupling(grid32)
+        dt = sf.cfl_dt(grid32, c, 0.5)
+        cfg = sf.FlowConfig(dt_policy="fixed", dt=dt, t_end=10 * dt, snapshot_every=3,
+                            stationarity_tol=0.0)
+        seen = []
+        with pytest.raises(sf.BlowUpError) as exc:
+            sf.evolve(blob_field(grid32), c, cfg, snapshot_sink=lambda s: seen.append(s))
+        err = exc.value
+        assert [s.step for s in seen] == [3]
+        assert (err.node, err.step, err.t) == ((7, 2), 3, 3 * dt)
+        assert [row.t for row in err.ledger.rows] == [0.0, dt, 2 * dt]
+        assert err.state.step == 3
+        assert np.array_equal(err.state.field.values, seen[0].field.values)
+
     def test_determinism(self, grid32):
         c = cosine_coupling(grid32)
         u = sf.perturb(sf.bubble_field(grid32, (0.5, 0.5), 0.1), 0.01, 9)
@@ -258,6 +289,54 @@ class TestEvolve:
         e = out.ledger.column("e_f")
         assert np.all(np.diff(e) <= 1e-8 * e[0])
         assert out.state.field.max_norm_deviation <= 1e-12
+
+    def test_integer_clock_runs_exactly_the_budget(self, grid64):
+        # a float clock t += dt overshoots here: 1001 steps, t = 0.0101827
+        c = cosine_coupling(grid64)
+        dt = sf.cfl_dt(grid64, c, 0.25)
+        cfg = sf.FlowConfig(dt_policy="fixed", dt=dt, t_end=1000 * dt,
+                            diagnostic_every=100, stationarity_tol=0.0)
+        out = sf.evolve(blob_field(grid64), c, cfg)
+        assert out.state.step == 1000
+        assert out.state.t == 1000 * dt
+        assert out.ledger.rows[-1].t == 1000 * dt
+        assert list(out.ledger.column("t")) == [n * dt for n in range(0, 1001, 100)]
+
+    @pytest.mark.parametrize("t_end,dt,want", [
+        (97690 * 0.0004540443915911709, 0.0004540443915911709, 97690),
+        (20.151190126213297, 0.0002776143128413255, 72588),
+        (0.0, 1e-3, 0),
+    ], ids=["quotient-rounds-up", "quotient-rounds-down", "zero-horizon"])
+    def test_step_budget_is_the_smallest_reaching_count(self, t_end, dt, want):
+        n = _step_budget(t_end, dt)
+        assert n == want
+        assert n * dt >= t_end and (n == 0 or (n - 1) * dt < t_end)
+
+    def test_exact_stationary_state_keeps_its_bits(self, grid32):
+        # renormalizing this constant field would change its last bits
+        u = sf.constant_field(grid32, (0.1, 0.7, 0.3))
+        again = _project_unit(np.ascontiguousarray(u.values.transpose(2, 0, 1)), 0.0, 0)
+        assert not np.array_equal(again.transpose(1, 2, 0), u.values)
+        c = cosine_coupling(grid32)
+        dt = sf.cfl_dt(grid32, c, 0.5)
+        cfg = sf.FlowConfig(dt_policy="fixed", dt=dt, t_end=5 * dt, stationarity_tol=0.0)
+        out = sf.evolve(u, c, cfg)
+        assert out.state.step == 5 and out.state.field is u
+        assert sf.step(FlowState(field=u), c, cfg).field is u
+
+    def test_underflowed_step_is_refused(self):
+        # max f = 1e308 makes the CFL step 0.0; stepping would never reach t_end
+        g = sf.make_grid(16, 16, 1.0, 1.0)
+        c = unit_coupling(g, 1e308)
+        u = sf.great_circle_field(g)
+        cfg = sf.FlowConfig(t_end=1e-3)
+        assert sf.cfl_dt(g, c, cfg.safety) == 0.0
+        with pytest.raises(ValueError, match="cannot be reached"):
+            sf.evolve(u, c, cfg)
+        # a positive step too small for t_end / dt to be finite
+        tiny = sf.FlowConfig(dt_policy="fixed", dt=5e-324, t_end=1.0)
+        with pytest.raises(ValueError, match="cannot be reached"):
+            sf.evolve(u, unit_coupling(g), tiny)
 
 
 class TestBlowUpNode:
@@ -293,10 +372,19 @@ class TestBlowUpNode:
         assert exc.value.state.field.values.shape == g.shape + (3,)
 
     def test_relax(self):
-        _, c, u = self.planted()
+        g, c, u = self.planted()
         with pytest.raises(sf.BlowUpError) as exc:
             sf.relax(u, c, tol=1e-8, max_steps=10)
-        assert exc.value.node == self.NODE
+        err = exc.value
+        assert err.node == self.NODE
+        # the same contract as evolve: the last valid state, its step and t
+        cfg = sf.FlowConfig(dt_policy="fixed", dt=sf.cfl_dt(g, c, DEFAULT_SAFETY),
+                            t_end=1.0, stationarity_tol=0.0)
+        with pytest.raises(sf.BlowUpError) as ref:
+            sf.evolve(u, c, cfg)
+        assert (err.step, err.t) == (ref.value.step, ref.value.t) == (0, 0.0)
+        assert np.array_equal(err.state.field.values, u.values)
+        assert (err.state.step, err.state.t) == (0, 0.0)
 
     def test_renormalization(self):
         # the projection guard reads the component-major step array

@@ -3,6 +3,7 @@ import pytest
 
 import spinflow as sf
 from spinflow.flow import FlowState
+from spinflow.relax import DEFAULT_SAFETY
 
 from conftest import blob_field, cosine_coupling, unit_coupling
 
@@ -62,3 +63,22 @@ class TestRelax:
     def test_tol_validated(self, grid32):
         with pytest.raises(ValueError):
             sf.relax(blob_field(grid32), cosine_coupling(grid32), tol=0.0, max_steps=10)
+
+    def test_is_the_gradient_evolve_loop(self):
+        # relax runs the stepping loop of evolve: the same states, and a
+        # history equal to the ledger's ps_norm column row by row
+        g = sf.make_grid(24, 20, 1.3, 0.7)
+        c = cosine_coupling(g)
+        u0 = sf.perturb(blob_field(g), 0.3, 5)
+        k = 40
+        res = sf.relax(u0, c, tol=1e-30, max_steps=k)
+        assert res.steps == k and not res.converged
+        dt = sf.cfl_dt(g, c, DEFAULT_SAFETY)
+        cfg = sf.FlowConfig(flow_kind="gradient", dt_policy="fixed", dt=dt, t_end=k * dt,
+                            diagnostic_every=1, stationarity_tol=0.0)
+        out = sf.evolve(u0, c, cfg)
+        assert out.state.step == k
+        assert list(res.history) == list(out.ledger.column("ps_norm"))
+        # the defect falls monotonically here, so the best iterate is the last
+        assert np.all(np.diff(res.history) < 0)
+        assert np.array_equal(res.field.values, out.state.field.values)
