@@ -57,8 +57,7 @@ def _tangent_direction(field: SphereField, seed: int) -> np.ndarray:
     return w / max(n, 1e-300)
 
 
-def gradient_pairing_error(field: SphereField, coupling: Coupling, seed: int = 0,
-                           fd_step: float = FD_STEP):
+def gradient_pairing_error(field: SphereField, coupling: Coupling, seed: int = 0):
     """Centered finite difference of E against the defect pairing -2 <F, xi>.
 
     Returns (fd, pairing, stencil gap).  The gap is the difference between
@@ -77,7 +76,7 @@ def gradient_pairing_error(field: SphereField, coupling: Coupling, seed: int = 0
         shifted = SphereField(grid, normalize(u + s * xi))
         return diagnostics.energy(shifted, coupling)
 
-    fd = (e_of(fd_step) - e_of(-fd_step)) / (2.0 * fd_step)
+    fd = (e_of(FD_STEP) - e_of(-FD_STEP)) / (2.0 * FD_STEP)
     F = ps_residual(field, coupling).values
     pairing = -2.0 * float(np.einsum("ijk,ijk->", F, xi)) * cell
 

@@ -154,18 +154,23 @@ def cmd_blowup_experiment(cfg: RunConfig, outdir: str) -> int:
     return EXIT_OK
 
 
+#: command -> (function that runs it, help text)
+_COMMANDS = {
+    "run": (cmd_run, "evolve the configured flow and write ledger + snapshots"),
+    "relax": (cmd_relax, "run the gradient flow to stationarity"),
+    "check": (cmd_check, "measure the diagnostic identities and report pass/fail"),
+    "blowup-experiment": (cmd_blowup_experiment,
+                          "run the concentration experiment and report drift"),
+}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="spinflow",
         description="Weighted harmonic-map and Landau-Lifshitz flows on a periodic domain")
     parser.add_argument("--version", action="version", version=f"spinflow {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("run", "evolve the configured flow and write ledger + snapshots"),
-        ("relax", "run the gradient flow to stationarity"),
-        ("check", "measure the diagnostic identities and report pass/fail"),
-        ("blowup-experiment", "run the concentration experiment and report drift"),
-    ):
+    for name, (_, help_text) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("config", help="path to the run configuration file")
         p.add_argument("-o", "--output-dir", default=None,
@@ -178,14 +183,7 @@ def main(argv=None) -> int:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
 
-    outdir = _outdir(cfg, args.output_dir)
-    if args.command == "run":
-        return cmd_run(cfg, outdir)
-    if args.command == "relax":
-        return cmd_relax(cfg, outdir)
-    if args.command == "check":
-        return cmd_check(cfg, outdir)
-    return cmd_blowup_experiment(cfg, outdir)
+    return _COMMANDS[args.command][0](cfg, _outdir(cfg, args.output_dir))
 
 
 def entrypoint() -> None:

@@ -17,10 +17,9 @@ from . import diagnostics
 from .domain import _KIND_ALIASES, Coupling, Grid, make_coupling, make_grid
 from .field import SphereField, bubble_field, constant_field, great_circle_field, perturb
 from .flow import FlowConfig, _step_budget, resolve_dt
+from .relax import DEFAULT_SAFETY
 
 REQUIRED_SECTIONS = ("grid", "coupling", "initial", "flow")
-
-INITIAL_KINDS = ("constant", "bubble", "great-circle", "perturbed")
 
 
 class ConfigError(ValueError):
@@ -36,9 +35,12 @@ def _parse_int(text: str) -> int:
 
 def _parse_float(text: str) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise ValueError(f"expected a number, got {text!r}")
+    if not np.isfinite(value):
+        raise ValueError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def _parse_bool(text: str) -> bool:
@@ -47,10 +49,6 @@ def _parse_bool(text: str) -> bool:
     if text == "false":
         return False
     raise ValueError(f"expected true or false, got {text!r}")
-
-
-def _parse_str(text: str) -> str:
-    return text
 
 
 def _parse_float_list(text: str) -> tuple[float, ...]:
@@ -68,13 +66,13 @@ _SCHEMA = {
     "grid.ny": (_parse_int, _REQUIRED),
     "grid.lx": (_parse_float, _REQUIRED),
     "grid.ly": (_parse_float, _REQUIRED),
-    "coupling.kind": (_parse_str, _REQUIRED),
+    "coupling.kind": (str, _REQUIRED),
     "coupling.base": (_parse_float, 1.0),
     "coupling.ax": (_parse_float, 0.0),
     "coupling.ay": (_parse_float, 0.0),
-    "coupling.value": (_parse_float, None),
-    "coupling.file": (_parse_str, None),
-    "initial.kind": (_parse_str, _REQUIRED),
+    "coupling.value": (_parse_float, 1.0),
+    "coupling.file": (str, None),
+    "initial.kind": (str, _REQUIRED),
     "initial.vx": (_parse_float, 0.0),
     "initial.vy": (_parse_float, 0.0),
     "initial.vz": (_parse_float, 1.0),
@@ -84,26 +82,45 @@ _SCHEMA = {
     "initial.amplitude": (_parse_float, 0.01),
     "initial.seed": (_parse_int, 0),
     "initial.windings": (_parse_int, 1),
-    "initial.axis": (_parse_str, "x"),
+    "initial.axis": (str, "x"),
     "initial.phase": (_parse_float, 0.0),
-    "flow.kind": (_parse_str, _REQUIRED),
-    "flow.dt_policy": (_parse_str, "cfl"),
+    "flow.kind": (str, _REQUIRED),
+    "flow.dt_policy": (str, "cfl"),
     "flow.dt": (_parse_float, None),
     "flow.safety": (_parse_float, 0.5),
     "flow.t_end": (_parse_float, _REQUIRED),
     "flow.snapshot_every": (_parse_int, 0),
     "flow.diagnostic_every": (_parse_int, 1),
-    "flow.integrator": (_parse_str, "euler"),
+    "flow.integrator": (str, "euler"),
     "flow.stationarity_tol": (_parse_float, None),
     "diagnostics.radii": (_parse_float_list, None),
     "diagnostics.eps_conc": (_parse_float, None),
     "relax.tol": (_parse_float, 1e-8),
     "relax.max_steps": (_parse_int, 200_000),
-    "relax.safety": (_parse_float, 0.8),
+    "relax.safety": (_parse_float, DEFAULT_SAFETY),
     "experiment.collapse_fraction": (_parse_float, 0.5),
-    "output.dir": (_parse_str, "out"),
+    "output.dir": (str, "out"),
     "output.field_csv": (_parse_bool, False),
     "output.heatmaps": (_parse_bool, True),
+}
+
+#: selector key -> {kind: the keys of the selector's section that it takes}.
+#: A key that one kind takes is an error with any other kind; initial.seed is
+#: in no list, so every initial kind accepts it.  The coupling keys are the
+#: params of make_coupling, with `file` read into `values`.
+_KIND_KEYS = {
+    "coupling.kind": {
+        "constant": ("value",),
+        "cosine-product": ("base", "ax", "ay"),
+        "custom-sampled": ("file",),
+    },
+    "initial.kind": {
+        "constant": ("vx", "vy", "vz"),
+        "perturbed": ("vx", "vy", "vz", "amplitude"),
+        "great-circle": ("windings", "axis", "phase"),
+        "bubble": ("vx", "vy", "vz", "px", "py", "scale"),
+    },
+    "flow.dt_policy": {"cfl": ("safety",), "fixed": ("dt",)},
 }
 
 #: default probe radii as fractions of min(lx, ly)
@@ -194,10 +211,15 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
         where = f"line {lines[key]}: " if key in lines else ""
         raise ConfigError(f"{where}{key}: {message}")
 
-    def reject_inapplicable(context: str, keys: tuple[str, ...]):
-        for key in keys:
-            if key in lines:
-                fail(key, f"not applicable with {context}")
+    for selector, kinds in _KIND_KEYS.items():
+        kind = values[selector]
+        takes = kinds.get(_KIND_ALIASES.get(kind) if selector == "coupling.kind" else kind)
+        if takes is None:
+            fail(selector, f"must be one of {tuple(kinds)}, got {kind!r}")
+        section = selector.split(".")[0]
+        for name in (name for other in kinds.values() for name in other):
+            if f"{section}.{name}" in lines and name not in takes:
+                fail(f"{section}.{name}", f"not applicable with {selector} = {kind}")
 
     # grid
     try:
@@ -208,57 +230,26 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
 
     # coupling
     kind = values["coupling.kind"]
-    norm_kind = _KIND_ALIASES.get(kind)
+    params = {name: values[f"coupling.{name}"]
+              for name in _KIND_KEYS["coupling.kind"][_KIND_ALIASES[kind]]}
+    if "file" in params:
+        path = params.pop("file")
+        if path is None:
+            fail("coupling.kind", "custom-sampled coupling requires coupling.file")
+        full = path if os.path.isabs(path) else os.path.join(base_dir, path)
+        try:
+            params["values"] = np.loadtxt(full, delimiter=",", ndmin=2)
+        except (OSError, ValueError) as err:    # unreadable, or a cell is not a number
+            fail("coupling.file", str(err))
     try:
-        if norm_kind == "constant":
-            reject_inapplicable("a constant coupling",
-                                ("coupling.base", "coupling.ax", "coupling.ay",
-                                 "coupling.file"))
-            value = values["coupling.value"]
-            params = {"value": 1.0 if value is None else value}
-            coupling = make_coupling(grid, kind, params)
-        elif norm_kind == "cosine-product":
-            reject_inapplicable("a cosine coupling", ("coupling.value", "coupling.file"))
-            coupling = make_coupling(grid, kind, {"base": values["coupling.base"],
-                                                  "ax": values["coupling.ax"],
-                                                  "ay": values["coupling.ay"]})
-        elif norm_kind == "custom-sampled":
-            reject_inapplicable("a sampled coupling",
-                                ("coupling.value", "coupling.base", "coupling.ax",
-                                 "coupling.ay"))
-            path = values["coupling.file"]
-            if path is None:
-                fail("coupling.kind", "custom-sampled coupling requires coupling.file")
-            full = path if os.path.isabs(path) else os.path.join(base_dir, path)
-            try:
-                samples = np.loadtxt(full, delimiter=",", ndmin=2)
-            except OSError as err:
-                fail("coupling.file", str(err))
-            coupling = make_coupling(grid, kind, {"values": samples})
-        else:
-            fail("coupling.kind", f"unknown coupling kind {kind!r}")
+        coupling = make_coupling(grid, kind, params)
     except ValueError as err:
-        if isinstance(err, ConfigError):
-            raise
         fail("coupling.kind", str(err))
 
     # initial data preconditions
     ikind = values["initial.kind"]
-    if ikind not in INITIAL_KINDS:
-        fail("initial.kind", f"must be one of {INITIAL_KINDS}, got {ikind!r}")
-    _INAPPLICABLE_INITIAL = {
-        "constant": ("initial.px", "initial.py", "initial.scale", "initial.amplitude",
-                     "initial.windings", "initial.axis", "initial.phase"),
-        "perturbed": ("initial.px", "initial.py", "initial.scale",
-                      "initial.windings", "initial.axis", "initial.phase"),
-        "great-circle": ("initial.px", "initial.py", "initial.scale",
-                         "initial.amplitude", "initial.vx", "initial.vy", "initial.vz"),
-        "bubble": ("initial.amplitude", "initial.windings", "initial.axis",
-                   "initial.phase"),
-    }
-    reject_inapplicable(f"initial.kind = {ikind}", _INAPPLICABLE_INITIAL[ikind])
     background = np.array([values["initial.vx"], values["initial.vy"], values["initial.vz"]])
-    if ikind in ("constant", "perturbed", "bubble") and not np.linalg.norm(background) > 0:
+    if "vx" in _KIND_KEYS["initial.kind"][ikind] and not np.linalg.norm(background) > 0:
         fail("initial.kind", "background vector (vx, vy, vz) must be nonzero")
     if ikind == "bubble":
         scale = values["initial.scale"]
@@ -267,24 +258,17 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
         lmin = min(grid.lx, grid.ly)
         if not 0 < scale < lmin / 4:
             fail("initial.scale", f"must lie in (0, {lmin / 4}), got {scale}")
-    if ikind == "perturbed" and values["initial.amplitude"] < 0:
+    if values["initial.amplitude"] < 0:
         fail("initial.amplitude", "must be >= 0")
     if values["initial.axis"] not in ("x", "y"):
         fail("initial.axis", "must be 'x' or 'y'")
 
     # flow
-    if values["flow.dt_policy"] == "cfl":
-        reject_inapplicable("the cfl dt policy", ("flow.dt",))
-    elif values["flow.dt_policy"] == "fixed":
-        reject_inapplicable("the fixed dt policy", ("flow.safety",))
     try:
-        flow = FlowConfig(
-            flow_kind=values["flow.kind"], dt_policy=values["flow.dt_policy"],
-            dt=values["flow.dt"], safety=values["flow.safety"],
-            t_end=values["flow.t_end"], snapshot_every=values["flow.snapshot_every"],
-            diagnostic_every=values["flow.diagnostic_every"],
-            integrator=values["flow.integrator"],
-            stationarity_tol=values["flow.stationarity_tol"])
+        # every other flow.<name> key is the FlowConfig field of that name
+        flow = FlowConfig(flow_kind=values["flow.kind"],
+                          **{key[len("flow."):]: value for key, value in values.items()
+                             if key.startswith("flow.") and key != "flow.kind"})
     except ValueError as err:
         raise ConfigError(f"flow: {err}")
     try:

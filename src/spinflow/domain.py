@@ -26,8 +26,6 @@ from scipy import ndimage
 
 MIN_NODES = 8
 
-COUPLING_KINDS = ("constant", "cosine-product", "custom-sampled")
-
 _KIND_ALIASES = {
     "constant": "constant",
     "cosine": "cosine-product",
@@ -35,6 +33,8 @@ _KIND_ALIASES = {
     "sampled": "custom-sampled",
     "custom-sampled": "custom-sampled",
 }
+
+COUPLING_KINDS = tuple(dict.fromkeys(_KIND_ALIASES.values()))
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -159,10 +159,10 @@ def make_coupling(grid: Grid, kind: str, params: dict | None = None) -> Coupling
                      f = base + ax*cos(2*pi*x/lx) + ay*cos(2*pi*y/ly)
       custom-sampled params: values, an (nx, ny) array of positive samples
 
-    Positivity of f is enforced at construction; for the cosine kind the
-    analytic minimum base - |ax| - |ay| is used, so a parameterization that
-    dips to zero anywhere on the continuum is rejected even if the grid
-    misses the minimizer.
+    Coupling rejects values that are not finite and positive at a node; for
+    the cosine kind the analytic minimum base - |ax| - |ay| is checked too,
+    so a parameterization that dips to zero anywhere on the continuum is
+    rejected even if the grid misses the minimizer.
     """
     params = dict(params or {})
     try:
@@ -175,8 +175,6 @@ def make_coupling(grid: Grid, kind: str, params: dict | None = None) -> Coupling
         value = float(params.pop("value", params.pop("base", 1.0)))
         if params:
             raise ValueError(f"unexpected constant-coupling params: {sorted(params)}")
-        if value <= 0:
-            raise ValueError(f"constant coupling must be positive, got {value}")
         zeros = np.zeros(shape)
         return Coupling(grid, norm_kind, np.full(shape, value), zeros, zeros.copy(),
                         {"value": value})
@@ -206,10 +204,8 @@ def make_coupling(grid: Grid, kind: str, params: dict | None = None) -> Coupling
         raise ValueError("custom-sampled coupling requires params['values']")
     if params:
         raise ValueError(f"unexpected sampled-coupling params: {sorted(params)}")
-    if values.shape != shape:
+    if values.shape != shape:    # before the stencil, which needs the grid's shape
         raise ValueError(f"sampled values have shape {values.shape}, expected {shape}")
-    if not np.all(np.isfinite(values)) or float(values.min()) <= 0:
-        raise ValueError("sampled coupling must be positive and finite everywhere")
     gx, gy = _grad_arrays(values, grid.hx, grid.hy)
     return Coupling(grid, norm_kind, values, gx, gy, {})
 
@@ -282,7 +278,7 @@ def _classify(hxx: float, hyy: float, hxy: float = 0.0) -> str:
     return "min" if hxx > 0 else "max"
 
 
-def critical_points(coupling: Coupling, grid: Grid | None = None) -> CriticalSet:
+def critical_points(coupling: Coupling) -> CriticalSet:
     """All zeros of grad f, classified by the Hessian sign pattern.
 
     Constant couplings return the "everywhere" sentinel.  A cosine coupling
@@ -291,7 +287,7 @@ def critical_points(coupling: Coupling, grid: Grid | None = None) -> CriticalSet
     are scanned for sign changes of the discrete gradient in both axes and
     refined with per-axis quadratic interpolation.
     """
-    grid = grid or coupling.grid
+    grid = coupling.grid
     if coupling.kind == "constant":
         return CriticalSet("everywhere")
 
@@ -312,18 +308,13 @@ def critical_points(coupling: Coupling, grid: Grid | None = None) -> CriticalSet
                     val = base + ax * math.cos(kx * xc) + ay * math.cos(ky * yc)
                     pts.append(CriticalPoint(xc, yc, _classify(fxx, fyy), val))
             return CriticalSet("points", points=tuple(pts))
-        # one amplitude vanishes: critical lines along the inactive axis
+        # one amplitude vanishes: critical lines {axis = c} of the active axis
+        axis, a, k, length = ("x", ax, kx, grid.lx) if ax != 0.0 else ("y", ay, ky, grid.ly)
         lines = []
-        if ax != 0.0:
-            for xc in (0.0, grid.lx / 2.0):
-                fxx = -ax * kx * kx * math.cos(kx * xc)
-                val = base + ax * math.cos(kx * xc)
-                lines.append(CriticalLine("x", xc, "min" if fxx > 0 else "max", val))
-        else:
-            for yc in (0.0, grid.ly / 2.0):
-                fyy = -ay * ky * ky * math.cos(ky * yc)
-                val = base + ay * math.cos(ky * yc)
-                lines.append(CriticalLine("y", yc, "min" if fyy > 0 else "max", val))
+        for c in (0.0, length / 2.0):
+            fcc = -a * k * k * math.cos(k * c)
+            lines.append(CriticalLine(axis, c, "min" if fcc > 0 else "max",
+                                      base + a * math.cos(k * c)))
         return CriticalSet("lines", lines=tuple(lines))
 
     return _sampled_critical_points(coupling, grid)

@@ -26,7 +26,7 @@ import numpy as np
 from . import diagnostics
 from .domain import Coupling, Grid, critical_points
 from .field import SphereField
-from .operators import FLOW_KINDS, TangentField, _dot, _node_major, _rhs_arrays
+from .operators import TangentField, _dot, _node_major, _rhs_arrays
 
 DT_POLICIES = ("fixed", "cfl")
 INTEGRATORS = ("euler", "rk4")
@@ -40,6 +40,11 @@ _FLOW_KIND_ALIASES = {
     "landau-lifshitz": "landau_lifshitz",
     "ll": "landau_lifshitz",
 }
+
+#: flow kind -> c of its dissipation identity (see the module docstring)
+_DISSIPATION = {"gradient": 2.0, "landau_lifshitz": 1.0}
+
+FLOW_KINDS = tuple(_DISSIPATION)
 
 
 class BlowUpError(RuntimeError):
@@ -78,9 +83,8 @@ class FlowConfig:
         if self.dt_policy == "fixed":
             if self.dt is None or not self.dt > 0:
                 raise ValueError(f"fixed dt policy requires dt > 0, got {self.dt}")
-        else:
-            if self.safety is None or not 0.0 < self.safety <= 1.0:
-                raise ValueError(f"cfl safety must lie in (0, 1], got {self.safety}")
+        elif self.safety is None or not 0.0 < self.safety <= 1.0:
+            raise ValueError(f"cfl safety must lie in (0, 1], got {self.safety}")
         if self.t_end < 0:
             raise ValueError(f"t_end must be >= 0, got {self.t_end}")
         if self.snapshot_every < 0 or self.diagnostic_every < 1:
@@ -120,20 +124,12 @@ def resolve_dt(grid: Grid, coupling: Coupling, config: FlowConfig) -> float:
     return cfl_dt(grid, coupling, config.safety)
 
 
-def stationarity_tol(grid: Grid, config: FlowConfig) -> float:
-    if config.stationarity_tol is not None:
-        return float(config.stationarity_tol)
-    return STATIONARITY_FACTOR * grid.area
-
-
 def dissipation_coefficient(flow_kind: str) -> float:
     """c in E(t1) - E(t2) = c * int |du/dt|^2_{L2} dt (convention E = int f|grad u|^2)."""
-    kind = _FLOW_KIND_ALIASES.get(flow_kind)
-    if kind == "gradient":
-        return 2.0
-    if kind == "landau_lifshitz":
-        return 1.0
-    raise ValueError(f"unknown flow kind {flow_kind!r}")
+    c = _DISSIPATION.get(_FLOW_KIND_ALIASES.get(flow_kind))
+    if c is None:
+        raise ValueError(f"unknown flow kind {flow_kind!r}")
+    return c
 
 
 def _sphere_field(like: SphereField, u: np.ndarray) -> SphereField:
@@ -256,7 +252,7 @@ def step(state: FlowState, coupling: Coupling, config: FlowConfig) -> FlowState:
 
 def evolve(initial: SphereField, coupling: Coupling, config: FlowConfig, *,
            radii: tuple[float, ...] = (),
-           snapshot_sink=None, diagnostic_sink=None, stop_when=None) -> EvolveResult:
+           snapshot_sink=None, stop_when=None) -> EvolveResult:
     """Run the configured flow from `initial` for the smallest n steps with
     n dt >= t_end (the clock reads t = step * dt), or until stationarity
     (|v|_{L2} below the configured tolerance) or a stop callback.
@@ -272,7 +268,9 @@ def evolve(initial: SphereField, coupling: Coupling, config: FlowConfig, *,
     grid = initial.grid
     dt = resolve_dt(grid, coupling, config)
     budget = _step_budget(config.t_end, dt)
-    tol = stationarity_tol(grid, config)
+    tol = config.stationarity_tol
+    if tol is None:
+        tol = STATIONARITY_FACTOR * grid.area
     crit = critical_points(coupling)
     ledger = diagnostics.DiagnosticsLedger(radii=tuple(radii))
     reason = "t_end"
@@ -286,8 +284,6 @@ def evolve(initial: SphereField, coupling: Coupling, config: FlowConfig, *,
                 row = diagnostics.measure_row(grid, coupling, gsq, t=t, v_norm_sq=v_sq,
                                               ps_norm=ps, radii=ledger.radii, crit=crit)
                 ledger.append(row)
-                if diagnostic_sink is not None:
-                    diagnostic_sink(row)
             if n == budget:
                 break
             if cadence and stop_when is not None and stop_when(row):

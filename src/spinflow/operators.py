@@ -22,10 +22,6 @@ import numpy as np
 from .domain import Coupling, Grid, _grad_arrays, _readonly, _stencil
 from .field import SphereField
 
-TANGENCY_TOL = 1e-10
-
-FLOW_KINDS = ("gradient", "landau_lifshitz")
-
 
 @dataclass(frozen=True)
 class TangentField:
@@ -119,9 +115,8 @@ def _rhs_arrays(u: np.ndarray, hx: float, hy: float, coupling: Coupling,
     |grad u|^2, all from one stencil evaluation, for a component-major
     (3, nx, ny) u.  `u` need not be exactly unit-norm (intermediate
     Runge-Kutta stages are not).  The arithmetic runs in place in the
-    stencil's arrays; for the gradient flow v is F."""
-    if kind not in FLOW_KINDS:
-        raise ValueError(f"unknown flow kind {kind!r}")
+    stencil's arrays; for the gradient flow v is F.  `kind` is canonical:
+    FlowConfig checks it, and any other kind gives the LL velocity."""
     F, ux, uy, gsq = _tension_arrays(u, hx, hy)
     F *= coupling.values
     ux *= coupling.grad_x

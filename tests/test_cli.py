@@ -112,6 +112,26 @@ class TestRun:
     def test_missing_config_file(self, tmp_path):
         assert cli.main(["run", str(tmp_path / "none.cfg")]) == cli.EXIT_CONFIG
 
+    def test_non_finite_number_exits_config(self, tmp_path):
+        text = NOOP.replace("grid.nx = 32\ngrid.ny = 32", "grid.nx = 16\ngrid.ny = 16") \
+                   .replace("initial.kind = constant",
+                            "initial.kind = bubble\ninitial.scale = 0.1\ninitial.px = nan")
+        cfgpath = write_config(tmp_path, text)
+        assert cli.main(["run", cfgpath, "-o", str(tmp_path / "out")]) == cli.EXIT_CONFIG
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("rows", [
+        ["1.0," * 15 + "1.0"] * 15 + ["1.0," * 15 + "one"],
+        ["1.0," * 15 + "1.0"] * 15,
+    ], ids=["non-numeric-cell", "15x16-on-16x16"])
+    def test_malformed_coupling_file_exits_config(self, tmp_path, rows):
+        (tmp_path / "f.csv").write_text("\n".join(rows) + "\n")
+        text = NOOP.replace("grid.nx = 32\ngrid.ny = 32", "grid.nx = 16\ngrid.ny = 16") \
+                   .replace("coupling.kind = constant",
+                            "coupling.kind = custom-sampled\ncoupling.file = f.csv")
+        cfgpath = write_config(tmp_path, text)
+        assert cli.main(["run", cfgpath, "-o", str(tmp_path / "out")]) == cli.EXIT_CONFIG
+
     def test_determinism_byte_identical_ledgers(self, tmp_path):
         text = BUBBLE_LL.replace(
             "initial.kind = bubble\ninitial.px = 0.7\ninitial.py = 0.5\n"

@@ -1,7 +1,10 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from spinflow.config import ConfigError, parse_config
+from spinflow.config import _SCHEMA, ConfigError, parse_config
 
 MINIMAL = """\
 # minimal no-op run
@@ -181,3 +184,149 @@ class TestDefaults:
         a = parse_config(text).build_initial()
         b = parse_config(text).build_initial()
         assert np.array_equal(a.values, b.values)
+
+
+#: the contract of the kind selectors, written out independently of the
+#: parser: selector -> {kind: {key the kind takes: a valid value}}.
+#: initial.seed is in no list: every initial kind accepts it.
+TAKES = {
+    "coupling.kind": {
+        "constant": {"coupling.value": "1.5"},
+        "cosine-product": {"coupling.base": "1.0", "coupling.ax": "0.2", "coupling.ay": "0.1"},
+        "custom-sampled": {"coupling.file": "f.csv"},
+    },
+    "initial.kind": {
+        "constant": {"initial.vx": "0.0", "initial.vy": "1.0", "initial.vz": "1.0"},
+        "perturbed": {"initial.vx": "0.0", "initial.vy": "1.0", "initial.vz": "1.0",
+                      "initial.amplitude": "0.02"},
+        "great-circle": {"initial.windings": "2", "initial.axis": "y", "initial.phase": "0.3"},
+        "bubble": {"initial.vx": "0.0", "initial.vy": "0.0", "initial.vz": "-1.0",
+                   "initial.px": "0.4", "initial.py": "0.6", "initial.scale": "0.1"},
+    },
+    "flow.dt_policy": {"cfl": {"flow.safety": "0.4"}, "fixed": {"flow.dt": "1e-5"}},
+}
+#: keys a kind cannot do without
+NEEDS = {("coupling.kind", "custom-sampled"): ("coupling.file",),
+         ("initial.kind", "bubble"): ("initial.scale",),
+         ("flow.dt_policy", "fixed"): ("flow.dt",)}
+ALIASES = {"cosine": "cosine-product", "sampled": "custom-sampled"}
+
+BASE = {"grid.nx": "32", "grid.ny": "32", "grid.lx": "1.0", "grid.ly": "1.0",
+        "coupling.kind": "constant", "initial.kind": "constant", "flow.kind": "gradient",
+        "flow.t_end": "0.0"}
+
+
+def _selected(selector, kind):
+    """BASE with `kind` selected, plus the keys that kind needs."""
+    canonical = ALIASES.get(kind, kind)
+    assignments = dict(BASE, **{selector: kind})
+    for key in NEEDS.get((selector, canonical), ()):
+        assignments[key] = TAKES[selector][canonical][key]
+    return assignments
+
+
+def _render(assignments):
+    return "".join(f"{key} = {value}\n" for key, value in assignments.items())
+
+
+@pytest.fixture
+def sampled_dir(tmp_path):
+    np.savetxt(tmp_path / "f.csv", 1.0 + 0.2 * np.random.default_rng(0).random((32, 32)),
+               delimiter=",")
+    return str(tmp_path)
+
+
+def _kinds(selector):
+    kinds = list(TAKES[selector])
+    if selector == "coupling.kind":
+        kinds += list(ALIASES)
+    return kinds
+
+
+def _foreign_cases():
+    for selector, kinds in TAKES.items():
+        for kind in _kinds(selector):
+            own = TAKES[selector][ALIASES.get(kind, kind)]
+            foreign = {k: v for other in kinds.values() for k, v in other.items()
+                       if k not in own}
+            for key, value in foreign.items():
+                yield selector, kind, key, value
+
+
+class TestApplicability:
+    @pytest.mark.parametrize("selector,kind,key,value", list(_foreign_cases()))
+    def test_key_of_another_kind_rejected(self, sampled_dir, selector, kind, key, value):
+        assignments = _selected(selector, kind)
+        assignments[key] = value
+        lineno = len(assignments)
+        with pytest.raises(ConfigError,
+                           match=rf"^line {lineno}: {re.escape(key)}: not applicable"):
+            parse_config(_render(assignments), base_dir=sampled_dir)
+
+    @pytest.mark.parametrize("selector,kind",
+                             [(s, k) for s in TAKES for k in _kinds(s)])
+    def test_keys_of_the_selected_kind_accepted(self, sampled_dir, selector, kind):
+        assignments = _selected(selector, kind)
+        assignments.update(TAKES[selector][ALIASES.get(kind, kind)])
+        if selector == "initial.kind":
+            assignments["initial.seed"] = "3"
+        cfg = parse_config(_render(assignments), base_dir=sampled_dir)
+        assert cfg.build_initial().max_norm_deviation <= 1e-12
+
+    @pytest.mark.parametrize("selector", list(TAKES))
+    def test_unknown_kind_names_selector_and_line(self, selector):
+        assignments = dict(BASE)
+        assignments[selector] = "vortex"
+        lineno = list(assignments).index(selector) + 1
+        with pytest.raises(ConfigError, match=rf"line {lineno}: .*{re.escape(selector)}"
+                                              r".*'vortex'"):
+            parse_config(_render(assignments))
+
+
+class TestMalformedCouplingFile:
+    @pytest.mark.parametrize("write", [
+        lambda path: path.write_text("\n".join(",".join(["1.0"] * 16) for _ in range(15))
+                                     + "\n" + ",".join(["1.0"] * 15 + ["one"]) + "\n"),
+        lambda path: np.savetxt(path, np.ones((15, 16)), delimiter=","),
+        lambda path: np.savetxt(path, np.ones((16, 1)), delimiter=","),
+    ], ids=["non-numeric-cell", "15x16-on-16x16", "16x1-on-16x16"])
+    def test_config_error(self, tmp_path, write):
+        write(tmp_path / "f.csv")
+        assignments = dict(BASE, **{"grid.nx": "16", "grid.ny": "16",
+                                    "coupling.kind": "custom-sampled",
+                                    "coupling.file": "f.csv"})
+        with pytest.raises(ConfigError, match=r"line \d+: coupling\.(file|kind): "):
+            parse_config(_render(assignments), base_dir=str(tmp_path))
+
+
+#: (selector line, key, non-finite value) on a 16^2 grid
+NON_FINITE = [
+    ("initial.kind = bubble\ninitial.scale = 0.1", "initial.px", "nan"),
+    ("initial.kind = bubble\ninitial.scale = 0.1", "initial.px", "inf"),
+    ("initial.kind = perturbed", "initial.amplitude", "nan"),
+    ("initial.kind = great-circle", "initial.phase", "inf"),
+    ("initial.kind = constant", "diagnostics.radii", "nan"),
+    ("initial.kind = constant", "diagnostics.eps_conc", "nan"),
+]
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("initial,key,value", NON_FINITE,
+                             ids=[f"{k}={v}" for _, k, v in NON_FINITE])
+    def test_rejected_with_line_and_key(self, initial, key, value):
+        text = MINIMAL.replace("grid.nx = 32\ngrid.ny = 32", "grid.nx = 16\ngrid.ny = 16") \
+                      .replace("initial.kind = constant", initial) + f"{key} = {value}\n"
+        lineno = len(text.splitlines())
+        with pytest.raises(ConfigError,
+                           match=rf"^line {lineno}: {re.escape(key)}: .*finite"):
+            parse_config(text)
+
+
+def test_readme_configuration_table_names_every_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    keys = set()
+    for row in section.splitlines():
+        if row.startswith("| `"):
+            keys.update(re.findall(r"`([a-z]+\.[a-z_]+)`", row.split("|")[1]))
+    assert keys == set(_SCHEMA)
