@@ -15,10 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import diagnostics
-from .domain import Coupling, Grid, _grad_arrays, _stencil, make_cutoff
+from .domain import Coupling, Grid, _dot, _grad_arrays, _stencil, make_cutoff
 from .field import SphereField, normalize
 from .flow import FlowConfig, cfl_dt, dissipation_coefficient, evolve
-from .operators import _node_major, ps_residual
+from .operators import ps_residual
 
 #: floor and stencil-gap margin for the energy-gradient check (fd step 1e-5)
 GRADIENT_RTOL_FLOOR = 1e-4
@@ -51,8 +51,9 @@ class CheckResult:
 def _tangent_direction(field: SphereField, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     u = field.values
-    w = rng.standard_normal(u.shape)
-    w -= np.einsum("ijk,ijk->ij", w, u)[..., None] * u
+    # drawn node by node, so a seed keeps the direction it always gave
+    w = np.moveaxis(rng.standard_normal(field.grid.shape + (3,)), -1, 0)
+    w -= _dot(w, u) * u
     n = math.sqrt(float(np.einsum("ijk,ijk->", w, w)) * field.grid.cell_area)
     return w / max(n, 1e-300)
 
@@ -83,12 +84,12 @@ def gradient_pairing_error(field: SphereField, coupling: Coupling, seed: int = 0
     # exact gradient of the discrete energy (summation by parts is exact for
     # periodic central differences)
     f = coupling.values
-    ux, uy, lap = _stencil(u.transpose(2, 0, 1), hx, hy)
-    g_exact = _node_major(_grad_arrays(f * ux, hx, hy)[0] + _grad_arrays(f * uy, hx, hy)[1])
+    ux, uy, lap = _stencil(u, hx, hy)
+    g_exact = _grad_arrays(f * ux, hx, hy)[0] + _grad_arrays(f * uy, hx, hy)[1]
     pair_exact = -2.0 * float(np.einsum("ijk,ijk->", g_exact, xi)) * cell
     # 5-point defect with the coupling gradient re-derived from the values
     fx, fy = _grad_arrays(f, hx, hy)
-    f_values = _node_major(f * lap + fx * ux + fy * uy)
+    f_values = f * lap + fx * ux + fy * uy
     pair_values = -2.0 * float(np.einsum("ijk,ijk->", f_values, xi)) * cell
     gap = pair_exact - pair_values
     return fd, pairing, gap
@@ -116,8 +117,8 @@ def _third_derivative_scale(field: SphereField) -> float:
     """L2 norm of the central-difference gradient of the 5-point Laplacian;
     the common magnitude behind the h^2 truncation terms of the identities."""
     g = field.grid
-    lap = _stencil(field.values.transpose(2, 0, 1), g.hx, g.hy)[2]
-    dlx, dly = (_node_major(d) for d in _grad_arrays(lap, g.hx, g.hy))
+    lap = _stencil(field.values, g.hx, g.hy)[2]
+    dlx, dly = _grad_arrays(lap, g.hx, g.hy)
     total = float(np.einsum("ijk,ijk->", dlx, dlx) + np.einsum("ijk,ijk->", dly, dly))
     return math.sqrt(total * g.cell_area)
 

@@ -230,8 +230,8 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
 
     # coupling
     kind = values["coupling.kind"]
-    params = {name: values[f"coupling.{name}"]
-              for name in _KIND_KEYS["coupling.kind"][_KIND_ALIASES[kind]]}
+    names = _KIND_KEYS["coupling.kind"][_KIND_ALIASES[kind]]
+    params = {name: values[f"coupling.{name}"] for name in names}
     if "file" in params:
         path = params.pop("file")
         if path is None:
@@ -244,7 +244,9 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
     try:
         coupling = make_coupling(grid, kind, params)
     except ValueError as err:
-        fail("coupling.kind", str(err))
+        # under the first of the kind's keys that the file sets
+        set_keys = [f"coupling.{name}" for name in names if f"coupling.{name}" in lines]
+        fail((set_keys or ["coupling.kind"])[0], str(err))
 
     # initial data preconditions
     ikind = values["initial.kind"]

@@ -19,9 +19,9 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 from scipy import ndimage
 
-from .domain import Coupling, CriticalSet, CutoffField, Grid, _grad_arrays, critical_points
+from .domain import Coupling, CriticalSet, CutoffField, Grid, _dot, _grad_arrays, critical_points
 from .field import SphereField
-from .operators import _dot, grad_squared, ps_residual
+from .operators import grad, grad_squared, ps_residual
 
 #: default concentration threshold, as a fraction of the degree-1 bubble energy
 DEFAULT_EPS_CONC_FRACTION = 0.3
@@ -110,7 +110,7 @@ def hopf(field: SphereField) -> np.ndarray:
     Measures the failure of conformality; it is constant (in fact
     holomorphic) for harmonic maps in conformal position.
     """
-    ux, uy = _grad_arrays(field.values.transpose(2, 0, 1), field.grid.hx, field.grid.hy)
+    ux, uy = grad(field)
     return (_dot(ux, ux) - _dot(uy, uy)) - 2.0j * _dot(ux, uy)
 
 
@@ -126,9 +126,9 @@ def hopf_residual(field: SphereField, coupling: Coupling) -> float:
     """
     grid = field.grid
     psi_x, psi_y = _grad_arrays(hopf(field), grid.hx, grid.hy)
-    ux, uy = _grad_arrays(field.values.transpose(2, 0, 1), grid.hx, grid.hy)
+    ux, uy = grad(field)
     dpsi_zbar = 0.5 * (psi_x + 1j * psi_y)
-    defect = ps_residual(field, coupling).values.transpose(2, 0, 1)
+    defect = ps_residual(field, coupling).values
     w = (defect - coupling.grad_x * ux - coupling.grad_y * uy) / coupling.values
     # <w, du/dz> with du/dz = (u_x - i u_y) / 2
     pairing = 0.5 * (_dot(w, ux) - 1j * _dot(w, uy))
@@ -151,7 +151,7 @@ def variation_rhs(field: SphereField, coupling: Coupling, cutoff: CutoffField) -
     grid = field.grid
     x, y = grid.mesh()
     X, div, jac = cutoff.evaluate(x, y)
-    ux, uy = _grad_arrays(field.values.transpose(2, 0, 1), grid.hx, grid.hy)
+    ux, uy = grad(field)
     e11 = _dot(ux, ux)
     e22 = _dot(uy, uy)
     e12 = _dot(ux, uy)
@@ -188,11 +188,10 @@ def _compose(field: SphereField, px: np.ndarray, py: np.ndarray) -> np.ndarray:
     coords = np.stack([px / grid.hx, py / grid.hy])
     out = np.empty_like(field.values)
     for c in range(3):
-        coeffs = ndimage.spline_filter(field.values[..., c], order=3, mode="grid-wrap")
-        out[..., c] = ndimage.map_coordinates(coeffs, coords, order=3,
-                                              mode="grid-wrap", prefilter=False)
-    norms = np.sqrt(np.einsum("ijk,ijk->ij", out, out))
-    return out / norms[..., None]
+        coeffs = ndimage.spline_filter(field.values[c], order=3, mode="grid-wrap")
+        out[c] = ndimage.map_coordinates(coeffs, coords, order=3,
+                                         mode="grid-wrap", prefilter=False)
+    return out / np.sqrt(_dot(out, out))
 
 
 def variation_lhs(field: SphereField, coupling: Coupling, cutoff: CutoffField,
@@ -350,6 +349,7 @@ class ConcentrationReport:
     nearest_critical_kind: str | None = None
     distance_to_critical: float | None = None
     drift: tuple[tuple[float, float, float], ...] = ()
+    critical_lines: bool = False     # the critical set is lines, not points
 
     def to_text(self) -> str:
         lines = [
@@ -371,6 +371,9 @@ class ConcentrationReport:
             lines.append(f"nearest_critical_y = {self.nearest_critical[1]!r}")
             lines.append(f"nearest_critical_kind = {self.nearest_critical_kind}")
             lines.append(f"distance_to_critical = {self.distance_to_critical!r}")
+        elif self.critical_lines:
+            lines.append("critical_set = lines")
+            lines.append(f"distance_to_critical = {self.distance_to_critical!r}")
         if self.drift:
             lines.append("drift_t = " + ",".join(repr(p[0]) for p in self.drift))
             lines.append("drift_x = " + ",".join(repr(p[1]) for p in self.drift))
@@ -385,8 +388,9 @@ def detect_concentration(ledger: DiagnosticsLedger | None, field: SphereField,
     radii must be strictly decreasing and above the grid resolution; the
     concentration flag fires when the local energy inside the smallest radius
     reaches eps_conc.  The report includes the nearest critical point of the
-    coupling with its periodic distance (omitted for constant couplings,
-    where every point is critical) and the argmax drift over the ledger.
+    coupling with its periodic distance, or the distance to the nearest
+    critical line (omitted for constant couplings, where every point is
+    critical), and the argmax drift over the ledger.
     """
     grid = field.grid
     radii = validate_radii(grid, radii)
@@ -419,4 +423,5 @@ def detect_concentration(ledger: DiagnosticsLedger | None, field: SphereField,
         detected=bool(detected), location=loc, radius_profile=profile,
         eps_conc=float(eps_conc), everywhere_critical=crit.everywhere,
         limiting_local_energy=limiting, nearest_critical=nearest,
-        nearest_critical_kind=kind, distance_to_critical=dist, drift=drift)
+        nearest_critical_kind=kind, distance_to_critical=dist, drift=drift,
+        critical_lines=crit.kind == "lines")

@@ -9,10 +9,11 @@ domain-variation diagnostics.  The periodic stencil (central differences and
 the 5-point Laplacian) behind every other module also lives here.
 
 Layout: the stencil differentiates along the last two axes of its input,
-which index the node (i, j).  Scalars are (nx, ny); vector fields are
-stored component-major, (3, nx, ny), one contiguous plane per component,
-which is how the flow kernels hold them.  SphereField values are node-major
-(nx, ny, 3) and reach the stencil as their values.transpose(2, 0, 1) view.
+which index the node (i, j).  Scalars are (nx, ny); vector fields (the
+values of SphereField and TangentField, gradients, Laplacians and flow
+velocities) are stored component-major, (3, nx, ny), one contiguous plane
+per component, and per-node algebra runs plane by plane (`_dot`).  Only the
+snapshot and field-CSV files list the components node by node.
 """
 
 from __future__ import annotations
@@ -172,7 +173,7 @@ def make_coupling(grid: Grid, kind: str, params: dict | None = None) -> Coupling
 
     shape = grid.shape
     if norm_kind == "constant":
-        value = float(params.pop("value", params.pop("base", 1.0)))
+        value = float(params.pop("value", 1.0))
         if params:
             raise ValueError(f"unexpected constant-coupling params: {sorted(params)}")
         zeros = np.zeros(shape)
@@ -533,6 +534,17 @@ def _grad_arrays(a: np.ndarray, hx: float, hy: float) -> tuple[np.ndarray, np.nd
     dy = yp - ym
     _y_columns(np.subtract, a, dy)
     return (xp - xm) * (0.5 / hx), dy * (0.5 / hy)
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per-node <a, b> of component-major arrays, summed as (0 + 2) + 1: the
+    order np.einsum("ijk,ijk->ij") takes over contiguous node-major arrays
+    on numpy 2.4, so the bits match the node-major kernel
+    (tests/test_stencil_reference.py compares them)."""
+    out = a[0] * b[0]
+    out += a[2] * b[2]
+    out += a[1] * b[1]
+    return out
 
 
 def _stencil(a: np.ndarray, hx: float, hy: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import Grid, _readonly
+from .domain import Grid, _dot, _readonly
 
 UNIT_NORM_TOL = 1e-12
 
@@ -30,14 +30,14 @@ _BLEND_LAYER = 0.08
 
 @dataclass(frozen=True)
 class SphereField:
-    """Unit-vector field u: grid -> S^2, stored as an (nx, ny, 3) array."""
+    """Unit-vector field u: grid -> S^2, stored as a (3, nx, ny) array."""
 
     grid: Grid
     values: np.ndarray
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=np.float64)
-        if v.shape != self.grid.shape + (3,):
+        if v.shape != (3,) + self.grid.shape:
             raise ValueError(f"field shape {v.shape} does not match grid {self.grid.shape}")
         dev = self.max_norm_deviation_of(v)
         if not dev <= UNIT_NORM_TOL:
@@ -46,7 +46,7 @@ class SphereField:
 
     @staticmethod
     def max_norm_deviation_of(values: np.ndarray) -> float:
-        norms = np.sqrt(np.einsum("ijk,ijk->ij", values, values))
+        norms = np.sqrt(_dot(values, values))
         return float(np.abs(norms - 1.0).max())
 
     @property
@@ -58,15 +58,15 @@ class SphereField:
         rotation = np.asarray(rotation, dtype=np.float64)
         if rotation.shape != (3, 3):
             raise ValueError("rotation must be a 3x3 matrix")
-        return SphereField(self.grid, self.values @ rotation.T)
+        return SphereField(self.grid, np.tensordot(rotation, self.values, 1))
 
 
 def normalize(values: np.ndarray) -> np.ndarray:
     """Nodewise projection to the unit sphere; rejects zero vectors."""
-    norms = np.sqrt(np.einsum("ijk,ijk->ij", values, values))
+    norms = np.sqrt(_dot(values, values))
     if not np.all(norms > 0.0):
         raise ValueError("cannot normalize: zero vector encountered")
-    return values / norms[..., None]
+    return values / norms
 
 
 def constant_field(grid: Grid, v) -> SphereField:
@@ -75,7 +75,7 @@ def constant_field(grid: Grid, v) -> SphereField:
     n = float(np.linalg.norm(v))
     if n == 0.0:
         raise ValueError("constant field direction must be nonzero")
-    values = np.broadcast_to(v / n, grid.shape + (3,)).copy()
+    values = np.broadcast_to((v / n)[:, None, None], (3,) + grid.shape).copy()
     return SphereField(grid, values)
 
 
@@ -87,7 +87,7 @@ def great_circle_field(grid: Grid, windings: int = 1, axis: str = "x",
     x, y = grid.mesh()
     coord, length = (x, grid.lx) if axis == "x" else (y, grid.ly)
     theta = 2.0 * np.pi * windings * coord / length + phase
-    values = np.stack([np.sin(theta), np.zeros_like(theta), np.cos(theta)], axis=-1)
+    values = np.stack([np.sin(theta), np.zeros_like(theta), np.cos(theta)])
     return SphereField(grid, normalize(values))
 
 
@@ -101,7 +101,7 @@ def bubble_profile(a, b):
     b = np.asarray(b, dtype=np.float64)
     rho2 = a * a + b * b
     den = 1.0 + rho2
-    return np.stack([2.0 * a / den, 2.0 * b / den, (1.0 - rho2) / den], axis=-1)
+    return np.stack([2.0 * a / den, 2.0 * b / den, (1.0 - rho2) / den])
 
 
 def _smoothstep_integral(x):
@@ -157,13 +157,13 @@ def bubble_field(grid: Grid, center: tuple[float, float], scale: float,
     r0 = BLEND_START * lmin
     r1 = BLEND_END * lmin
     rho = r0 + (r1 - r0) * _layered_ramp((r - r0) / (r1 - r0))
-    w = ((r1 * r1 - rho * rho) / (r1 * r1 - r0 * r0))[..., None]
-    blended = w * m + (1.0 - w) * v
-    norms = np.sqrt(np.einsum("ijk,ijk->ij", blended, blended))
+    w = (r1 * r1 - rho * rho) / (r1 * r1 - r0 * r0)
+    blended = w * m + (1.0 - w) * v[:, None, None]
+    norms = np.sqrt(_dot(blended, blended))
     if float(norms.min()) < 1e-8:
         raise ValueError("bubble blend degenerates: background is antipodal to the "
                          "profile inside the blend annulus")
-    return SphereField(grid, blended / norms[..., None])
+    return SphereField(grid, blended / norms)
 
 
 def perturb(field: SphereField, amplitude: float, seed: int) -> SphereField:
@@ -180,10 +180,11 @@ def perturb(field: SphereField, amplitude: float, seed: int) -> SphereField:
         return SphereField(field.grid, field.values)
     rng = np.random.default_rng(seed)
     u = field.values
-    w = rng.uniform(-1.0, 1.0, size=u.shape)
-    w -= np.einsum("ijk,ijk->ij", w, u)[..., None] * u
-    norms = np.sqrt(np.einsum("ijk,ijk->ij", w, w))
+    # drawn node by node, so a seed keeps the perturbation it always gave
+    w = np.moveaxis(rng.uniform(-1.0, 1.0, size=field.grid.shape + (3,)), -1, 0)
+    w -= _dot(w, u) * u
+    norms = np.sqrt(_dot(w, w))
     safe = np.maximum(norms, 1e-300)
     magnitude = amplitude * rng.uniform(0.0, 1.0, size=norms.shape)
-    xi = np.where(norms[..., None] > 1e-12, w / safe[..., None] * magnitude[..., None], 0.0)
+    xi = np.where(norms > 1e-12, w / safe * magnitude, 0.0)
     return SphereField(field.grid, normalize(u + xi))

@@ -11,9 +11,9 @@ with c = 2 for the gradient flow and c = 1 for the Landau-Lifshitz flow
 (the velocity of the latter satisfies |v|^2 = 2 |F|^2).
 
 `step`, `evolve` and `relax` share one stepping loop on an integer step
-budget, t = t0 + n dt.  Inside it the field is a component-major (3, nx, ny)
-array (the layout of the operators kernel), converted back to a node-major
-SphereField only where one leaves the loop.
+budget, t = t0 + n dt.  Inside it the field is the bare (3, nx, ny) array
+of SphereField values, wrapped as a SphereField only where one leaves the
+loop.
 """
 
 from __future__ import annotations
@@ -24,9 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import diagnostics
-from .domain import Coupling, Grid, critical_points
+from .domain import Coupling, Grid, _dot, critical_points
 from .field import SphereField
-from .operators import TangentField, _dot, _node_major, _rhs_arrays
+from .operators import TangentField, _rhs_arrays
 
 DT_POLICIES = ("fixed", "cfl")
 INTEGRATORS = ("euler", "rk4")
@@ -133,11 +133,11 @@ def dissipation_coefficient(flow_kind: str) -> float:
 
 
 def _sphere_field(like: SphereField, u: np.ndarray) -> SphereField:
-    """The component-major u as a SphereField on the grid of `like`; `like`
-    itself while u still holds its values (no step moved the state)."""
-    if np.array_equal(u, like.values.transpose(2, 0, 1)):
+    """u as a SphereField on the grid of `like`; `like` itself while u still
+    holds its values (no step moved the state)."""
+    if np.array_equal(u, like.values):
         return like
-    return SphereField(like.grid, u.transpose(1, 2, 0))
+    return SphereField(like.grid, u)
 
 
 def _raise_blowup(velocity: np.ndarray, t: float, nstep: int):
@@ -203,14 +203,13 @@ def _steps(field: SphereField, coupling: Coupling, config: FlowConfig, dt: float
            budget: int, t0: float = 0.0, n0: int = 0, snapshot_sink=None):
     """The one stepping loop from `field` at step n0, time t0: t = t0 + n dt.
 
-    Yields (n, t, u, v, F, |grad u|^2, int |v|^2), u and v component-major,
-    at the start of each step n < budget once v has passed the blow-up
-    check, then for the terminal state n = budget unchecked; the caller
-    stops early by leaving the loop.  snapshot_sink gets each snapshot_every-th
+    Yields (n, t, u, v, F, |grad u|^2, int |v|^2) at the start of each step
+    n < budget once v has passed the blow-up check, then for the terminal
+    state n = budget unchecked; the caller stops early by leaving the loop.  snapshot_sink gets each snapshot_every-th
     new state before its check.  A BlowUpError carries the last valid state.
     """
     grid = field.grid
-    u = np.ascontiguousarray(field.values.transpose(2, 0, 1))
+    u = field.values
     for n in range(budget + 1):
         t = t0 + n * dt
         if n and snapshot_sink and config.snapshot_every and n % config.snapshot_every == 0:
@@ -247,7 +246,7 @@ def step(state: FlowState, coupling: Coupling, config: FlowConfig) -> FlowState:
         err.state = state
         raise
     return FlowState(field=_sphere_field(state.field, u_new), t=state.t + dt,
-                     step=state.step + 1, last_velocity=TangentField(grid, _node_major(v)))
+                     step=state.step + 1, last_velocity=TangentField(grid, v))
 
 
 def evolve(initial: SphereField, coupling: Coupling, config: FlowConfig, *,

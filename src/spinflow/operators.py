@@ -5,12 +5,6 @@ the gradient, the 5-point stencil for the Laplacian.  Fields returned as
 TangentField are re-projected onto the tangent plane of the paired sphere
 field, so the per-node orthogonality invariant holds at machine precision
 rather than merely at stencil order.
-
-Layout: SphereField and TangentField values are node-major (nx, ny, 3).  The
-kernels below (`_dot`, `_project`, `_cross`, `_rhs_arrays`) work on
-component-major (3, nx, ny) arrays, whose three planes are contiguous; the
-public operators pass `values.transpose(2, 0, 1)` views in and return
-node-major results.
 """
 
 from __future__ import annotations
@@ -19,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import Coupling, Grid, _grad_arrays, _readonly, _stencil
+from .domain import Coupling, Grid, _dot, _grad_arrays, _readonly, _stencil
 from .field import SphereField
 
 
@@ -32,7 +26,7 @@ class TangentField:
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=np.float64)
-        if v.shape != self.grid.shape + (3,):
+        if v.shape != (3,) + self.grid.shape:
             raise ValueError(f"tangent field shape {v.shape} does not match grid")
         object.__setattr__(self, "values", _readonly(v))
 
@@ -43,20 +37,9 @@ class TangentField:
 
     def max_tangency_defect(self, field: SphereField) -> float:
         """max over nodes of |<w, u>| / max(|w|, tiny)."""
-        inner = np.abs(np.einsum("ijk,ijk->ij", self.values, field.values))
-        norms = np.sqrt(np.einsum("ijk,ijk->ij", self.values, self.values))
+        inner = np.abs(_dot(self.values, field.values))
+        norms = np.sqrt(_dot(self.values, self.values))
         return float((inner / np.maximum(norms, 1e-300)).max(initial=0.0))
-
-
-def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per-node <a, b> of component-major arrays, summed as (0 + 2) + 1: the
-    order np.einsum("ijk,ijk->ij") takes over contiguous node-major arrays
-    on numpy 2.4, so the bits match the node-major kernel
-    (tests/test_stencil_reference.py compares them)."""
-    out = a[0] * b[0]
-    out += a[2] * b[2]
-    out += a[1] * b[1]
-    return out
 
 
 def _project(w: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -75,27 +58,20 @@ def _cross(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _node_major(a: np.ndarray) -> np.ndarray:
-    """Contiguous node-major (nx, ny, 3) copy of a component-major array."""
-    return np.ascontiguousarray(a.transpose(1, 2, 0))
-
-
 def grad(field: SphereField) -> tuple[np.ndarray, np.ndarray]:
-    """Central-difference partials (u_x, u_y), each of shape (nx, ny, 3)."""
-    ux, uy = _grad_arrays(field.values.transpose(2, 0, 1), field.grid.hx, field.grid.hy)
-    return _node_major(ux), _node_major(uy)
+    """Central-difference partials (u_x, u_y), each of shape (3, nx, ny)."""
+    return _grad_arrays(field.values, field.grid.hx, field.grid.hy)
 
 
 def grad_squared(field: SphereField) -> np.ndarray:
     """|grad u|^2 = |u_x|^2 + |u_y|^2 per node, from the same stencil as grad."""
-    ux, uy = _grad_arrays(field.values.transpose(2, 0, 1), field.grid.hx, field.grid.hy)
+    ux, uy = grad(field)
     return _dot(ux, ux) + _dot(uy, uy)
 
 
 def laplacian(field: SphereField) -> np.ndarray:
     """5-point periodic Laplacian."""
-    return _node_major(_stencil(field.values.transpose(2, 0, 1),
-                                field.grid.hx, field.grid.hy)[2])
+    return _stencil(field.values, field.grid.hx, field.grid.hy)[2]
 
 
 def _tension_arrays(u: np.ndarray, hx: float, hy: float):
@@ -138,8 +114,7 @@ def tension(field: SphereField) -> TangentField:
     so the normal component is removed to keep downstream identities exact.
     """
     g = field.grid
-    tau = _tension_arrays(field.values.transpose(2, 0, 1), g.hx, g.hy)[0]
-    return TangentField(g, _node_major(tau))
+    return TangentField(g, _tension_arrays(field.values, g.hx, g.hy)[0])
 
 
 def ps_residual(field: SphereField, coupling: Coupling) -> TangentField:
@@ -149,9 +124,8 @@ def ps_residual(field: SphereField, coupling: Coupling) -> TangentField:
     energy; along the gradient flow it doubles as the flow velocity.
     """
     _check_same_grid(field, coupling)
-    _, F, _ = _rhs_arrays(field.values.transpose(2, 0, 1), field.grid.hx, field.grid.hy,
-                          coupling, "gradient")
-    return TangentField(field.grid, _node_major(F))
+    _, F, _ = _rhs_arrays(field.values, field.grid.hx, field.grid.hy, coupling, "gradient")
+    return TangentField(field.grid, F)
 
 
 def ll_velocity(field: SphereField, coupling: Coupling) -> TangentField:
@@ -161,9 +135,9 @@ def ll_velocity(field: SphereField, coupling: Coupling) -> TangentField:
     are orthogonal and |v|^2 = 2 |F|^2 per node.
     """
     _check_same_grid(field, coupling)
-    v, _, _ = _rhs_arrays(field.values.transpose(2, 0, 1), field.grid.hx, field.grid.hy,
-                          coupling, "landau_lifshitz")
-    return TangentField(field.grid, _node_major(v))
+    v, _, _ = _rhs_arrays(field.values, field.grid.hx, field.grid.hy, coupling,
+                          "landau_lifshitz")
+    return TangentField(field.grid, v)
 
 
 def _check_same_grid(field: SphereField, coupling: Coupling) -> None:

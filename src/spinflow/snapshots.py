@@ -2,8 +2,8 @@
 
 Snapshot layout: an 8-byte magic string, a little-endian u32 version and u32
 node counts nx, ny, two f64 side lengths, then nx*ny*3 little-endian f64
-values in C order (x index major, 3 components per node).  Reload is
-bit-exact.
+values in C order (x index major, 3 components per node: the transpose of
+the in-memory (3, nx, ny) layout).  Reload is bit-exact.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ def write_snapshot(path, field: SphereField) -> None:
     g = field.grid
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, VERSION, g.nx, g.ny, g.lx, g.ly))
-        fh.write(np.ascontiguousarray(field.values, dtype="<f8").tobytes())
+        fh.write(np.ascontiguousarray(field.values.transpose(1, 2, 0), dtype="<f8").tobytes())
 
 
 def read_snapshot(path) -> SphereField:
@@ -42,7 +42,7 @@ def read_snapshot(path) -> SphereField:
     expected = nx * ny * 3 * 8
     if len(data) != expected:
         raise ValueError(f"snapshot payload has {len(data)} bytes, expected {expected}")
-    values = np.frombuffer(data, dtype="<f8").astype(np.float64).reshape(nx, ny, 3)
+    values = np.frombuffer(data, dtype="<f8").reshape(nx, ny, 3).transpose(2, 0, 1)
     return SphereField(make_grid(nx, ny, lx, ly), values)
 
 
@@ -52,7 +52,9 @@ def write_field_csv(path, field: SphereField) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("x,y,ux,uy,uz\n")
         ys = [j * g.hy for j in range(g.ny)]
-        for i, column in enumerate(field.values.tolist()):
+        # one contiguous node-major copy: tolist() on a transposed view is slower
+        node_major = np.ascontiguousarray(field.values.transpose(1, 2, 0))
+        for i, column in enumerate(node_major.tolist()):
             x = i * g.hx
             fh.writelines(f"{x!r},{y!r},{a!r},{b!r},{c!r}\n"
                           for y, (a, b, c) in zip(ys, column))

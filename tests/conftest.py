@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import spinflow as sf
+from spinflow.domain import _dot
 from spinflow.field import SphereField, normalize
 
 
@@ -20,7 +21,7 @@ def blob_field(grid):
     kx, ky = 2 * np.pi / grid.lx, 2 * np.pi / grid.ly
     raw = np.stack([0.4 * np.sin(kx * x) + 0.1,
                     0.3 * np.cos(ky * y) - 0.2,
-                    1.0 + 0.25 * np.sin(kx * x) * np.cos(ky * y)], axis=-1)
+                    1.0 + 0.25 * np.sin(kx * x) * np.cos(ky * y)])
     return SphereField(grid, normalize(raw))
 
 
@@ -36,8 +37,8 @@ def rotation_matrix(axis=(1.0, 2.0, 3.0), angle=0.7):
 def random_tangent(field, seed, normalized=True):
     rng = np.random.default_rng(seed)
     u = field.values
-    w = rng.standard_normal(u.shape)
-    w -= np.einsum("ijk,ijk->ij", w, u)[..., None] * u
+    w = np.moveaxis(rng.standard_normal(field.grid.shape + (3,)), -1, 0)
+    w -= _dot(w, u) * u
     if normalized:
         w /= np.sqrt(np.einsum("ijk,ijk->", w, w) * field.grid.cell_area)
     return w

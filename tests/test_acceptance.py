@@ -106,8 +106,8 @@ class TestCriterion3GradientCheck:
             F = sf.ps_residual(u, c).values
             for seed in range(5):
                 rng = np.random.default_rng(seed)
-                w = rng.standard_normal(u.values.shape)
-                w -= np.einsum("ijk,ijk->ij", w, u.values)[..., None] * u.values
+                w = np.moveaxis(rng.standard_normal(g.shape + (3,)), -1, 0)
+                w -= np.einsum("kij,kij->ij", w, u.values) * u.values
                 xi = w / np.sqrt(np.einsum("ijk,ijk->", w, w) * g.cell_area)
                 e_plus = sf.energy(SphereField(g, normalize(u.values + s * xi)), c)
                 e_minus = sf.energy(SphereField(g, normalize(u.values - s * xi)), c)

@@ -26,7 +26,7 @@ class TestParsing:
         assert cfg.coupling.is_constant
         assert cfg.flow.t_end == 0.0
         u = cfg.build_initial()
-        assert np.all(u.values[..., 2] == 1.0)
+        assert np.all(u.values[2] == 1.0)
 
     def test_comments_and_blanks(self):
         cfg = parse_config(MINIMAL + "\n# trailing comment\n\n")
@@ -297,6 +297,29 @@ class TestMalformedCouplingFile:
                                     "coupling.file": "f.csv"})
         with pytest.raises(ConfigError, match=r"line \d+: coupling\.(file|kind): "):
             parse_config(_render(assignments), base_dir=str(tmp_path))
+
+
+#: coupling assignments whose values make_coupling refuses, and the key the
+#: error must name: the kind's own key set in the file, with its line
+COUPLING_ERRORS = [
+    ({"coupling.value": "0.0"}, "coupling.value"),
+    ({"coupling.value": "-1.0"}, "coupling.value"),
+    ({"coupling.kind": "cosine", "coupling.ax": "0.6", "coupling.ay": "0.6"}, "coupling.ax"),
+    ({"coupling.kind": "custom-sampled", "coupling.file": "zero.csv"}, "coupling.file"),
+]
+
+
+@pytest.mark.parametrize("coupling,key", COUPLING_ERRORS,
+                         ids=["constant-0", "constant-minus-1", "cosine-over-amplitude",
+                              "sampled-zero-cell"])
+def test_coupling_error_names_the_kinds_own_key(tmp_path, coupling, key):
+    values = np.ones((16, 16))
+    values[3, 5] = 0.0
+    np.savetxt(tmp_path / "zero.csv", values, delimiter=",")
+    assignments = dict(BASE, **{"grid.nx": "16", "grid.ny": "16"}, **coupling)
+    lineno = list(assignments).index(key) + 1
+    with pytest.raises(ConfigError, match=rf"^line {lineno}: {re.escape(key)}: "):
+        parse_config(_render(assignments), base_dir=str(tmp_path))
 
 
 #: (selector line, key, non-finite value) on a 16^2 grid

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import spinflow as sf
 from spinflow.diagnostics import DiagnosticsLedger, LedgerRow, measure_row, validate_radii
-from spinflow.operators import _dot
+from spinflow.domain import _dot
 
 from conftest import blob_field, cosine_coupling, rotation_matrix, unit_coupling
 
@@ -117,8 +117,7 @@ class TestHopf:
         assert np.all(psi.real > 0.0)
         assert np.abs(psi.imag).max() <= 1e-12
         ux, _ = sf.grad(sf.great_circle_field(grid64))
-        assert np.allclose(psi.real, _dot(ux.transpose(2, 0, 1), ux.transpose(2, 0, 1)),
-                           rtol=1e-12)
+        assert np.allclose(psi.real, _dot(ux, ux), rtol=1e-12)
 
     def test_bubble_core_conformality(self):
         # the profile is conformal, so |Psi| in the core decays at O(h^2)
@@ -220,7 +219,7 @@ class TestVariation:
             x, y = g.mesh()
             X, _, _ = cut.evaluate(x, y)
             ux, uy = sf.grad(u)
-            duX = X[..., 0, None] * ux + X[..., 1, None] * uy
+            duX = X[..., 0] * ux + X[..., 1] * uy
             F = sf.ps_residual(u, c).values
             pairing = -float(np.einsum("ijk,ijk->", F, duX)) * g.cell_area
             errs.append(abs(rhs - pairing))
@@ -335,6 +334,16 @@ class TestDetectConcentration:
         assert report.distance_to_critical == pytest.approx(0.2, abs=2 * grid64.hx)
         assert report.nearest_critical == (0.5, 0.5)
         assert report.nearest_critical_kind == "min"
+
+    def test_critical_lines_report_their_distance(self, grid32):
+        # ay = 0: the critical set is the lines x = 0 and x = 1/2
+        c = cosine_coupling(grid32, ax=0.25, ay=0.0)
+        u = sf.bubble_field(grid32, (0.7, 0.5), 0.05)
+        report = sf.detect_concentration(None, u, c, (0.2, 0.1), eps_conc=5.0)
+        assert report.distance_to_critical == 0.1875
+        text = report.to_text()
+        assert "critical_set = lines\ndistance_to_critical = 0.1875\n" in text
+        assert "nearest_critical" not in text
 
     def test_threshold_controls_flag(self, grid64):
         c = cosine_coupling(grid64)

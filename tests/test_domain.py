@@ -65,6 +65,12 @@ class TestCoupling:
         with pytest.raises(ValueError):
             sf.make_coupling(grid64, "constant", {"value": 0.0})
 
+    @pytest.mark.parametrize("params", [{"base": 5.0}, {"value": 2.0, "base": 5.0}])
+    def test_constant_takes_only_value(self, grid64, params):
+        # `base` is a cosine param: no alias of `value`, and never dropped
+        with pytest.raises(ValueError, match=r"unexpected constant-coupling params: \['base'"):
+            sf.make_coupling(grid64, "constant", params)
+
     def test_unknown_kind(self, grid64):
         with pytest.raises(ValueError):
             sf.make_coupling(grid64, "quadratic", {})

@@ -36,12 +36,12 @@ def profile_energy_oracle(radius=200.0, n=3000):
 class TestConstantField:
     def test_north_pole(self, grid32):
         u = sf.constant_field(grid32, (0, 0, 1))
-        assert np.all(u.values[..., 2] == 1.0)
+        assert np.all(u.values[2] == 1.0)
         assert sf.energy(u, unit_coupling(grid32)) == 0.0
 
     def test_normalizes(self, grid32):
         u = sf.constant_field(grid32, (0, 0, 2))
-        assert np.all(u.values[..., 2] == 1.0)
+        assert np.all(u.values[2] == 1.0)
 
     def test_rejects_zero(self, grid32):
         with pytest.raises(ValueError):
@@ -56,14 +56,14 @@ class TestGreatCircle:
     def test_components(self, grid64):
         u = sf.great_circle_field(grid64)
         x, _ = grid64.mesh()
-        assert np.allclose(u.values[..., 0], np.sin(2 * np.pi * x), atol=1e-15)
-        assert np.all(u.values[..., 1] == 0.0)
+        assert np.allclose(u.values[0], np.sin(2 * np.pi * x), atol=1e-15)
+        assert np.all(u.values[1] == 0.0)
         assert u.max_norm_deviation <= 1e-12
 
     def test_axis_y_and_windings(self, grid64):
         u = sf.great_circle_field(grid64, windings=2, axis="y", phase=0.1)
         _, y = grid64.mesh()
-        assert np.allclose(u.values[..., 0], np.sin(4 * np.pi * y + 0.1), atol=1e-14)
+        assert np.allclose(u.values[0], np.sin(4 * np.pi * y + 0.1), atol=1e-14)
 
     def test_bad_axis(self, grid64):
         with pytest.raises(ValueError):
@@ -74,12 +74,12 @@ class TestBubble:
     def test_center_is_north_pole(self, grid64):
         u = sf.bubble_field(grid64, (0.5, 0.5), 0.1)
         i, j = grid64.nearest_node(0.5, 0.5)
-        assert np.allclose(u.values[i, j], (0.0, 0.0, 1.0), atol=1e-14)
+        assert np.allclose(u.values[:, i, j], (0.0, 0.0, 1.0), atol=1e-14)
 
     def test_far_field_is_background_exactly(self, grid64):
         v = np.array([0.0, 0.0, -1.0])
         u = sf.bubble_field(grid64, (0.5, 0.5), 0.05, v)
-        corner = u.values[0, 0]   # distance ~0.707 from the center, past the blend
+        corner = u.values[:, 0, 0]   # distance ~0.707 from the center, past the blend
         assert np.all(corner == v)
 
     def test_scale_range_rejected(self, grid64):
@@ -158,7 +158,7 @@ class TestPerturb:
 
 class TestSphereFieldType:
     def test_rejects_non_unit(self, grid32):
-        bad = np.ones(grid32.shape + (3,))
+        bad = np.ones((3,) + grid32.shape)
         with pytest.raises(ValueError):
             SphereField(grid32, bad)
 
@@ -171,7 +171,7 @@ class TestSphereFieldType:
         u = sf.great_circle_field(grid32)
         R = rotation_matrix()
         ru = u.rotated(R)
-        assert np.allclose(ru.values, u.values @ R.T)
+        assert np.allclose(ru.values, np.einsum("ab,bij->aij", R, u.values))
         assert ru.max_norm_deviation <= 1e-12
 
     def test_values_readonly(self, grid32):
@@ -181,4 +181,4 @@ class TestSphereFieldType:
 
     def test_profile_far_limit(self):
         m = bubble_profile(np.array([1e8]), np.array([0.0]))
-        assert np.allclose(m[0], (0.0, 0.0, -1.0), atol=1e-7)
+        assert np.allclose(m[:, 0], (0.0, 0.0, -1.0), atol=1e-7)

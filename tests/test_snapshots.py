@@ -14,7 +14,7 @@ def loop_field_csv(field) -> str:
     for i in range(g.nx):
         x = i * g.hx
         for j in range(g.ny):
-            u = [float(c) for c in field.values[i, j]]
+            u = [float(c) for c in field.values[:, i, j]]
             out.append(f"{x!r},{j * g.hy!r},{u[0]!r},{u[1]!r},{u[2]!r}\n")
     return "".join(out)
 
