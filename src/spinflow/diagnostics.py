@@ -12,6 +12,7 @@ in the tests.
 
 from __future__ import annotations
 
+import functools
 import io
 import math
 from dataclasses import dataclass, field as dc_field
@@ -58,6 +59,9 @@ def _disc_coverage(grid: Grid, x: np.ndarray, y: np.ndarray, d: np.ndarray,
     node mesh (x, y) and the periodic distance d of every node to p.  Nodes
     whose cells lie fully inside/outside get weight 1/0; boundary cells are
     subsampled on a 4x4 pattern.  Monotone non-decreasing in r per node.
+
+    Builds each cached window (_disc_window, p = node (0, 0)) and the
+    weights of the full-grid path of _local_energies.
     """
     margin = 0.5 * math.hypot(grid.hx, grid.hy)
     w = np.zeros(grid.shape)
@@ -73,16 +77,62 @@ def _disc_coverage(grid: Grid, x: np.ndarray, y: np.ndarray, d: np.ndarray,
     return w
 
 
+@functools.lru_cache(maxsize=32)   # one per (grid, r); a run probes a few radii
+def _disc_window(grid: Grid, r: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The coverage weights of B_r around node (0, 0) as a sparse window
+    (di, dj, w): the offsets of the nodes with nonzero weight, and the weights.
+
+    The periodic distance field around a node is the same for every node, so
+    node (i, j) has this window shifted by (i, j) mod (nx, ny).  It is cut
+    from the full-grid weights, so each node appears once even when the disc
+    is wider than half the torus.
+    """
+    x, y = grid.mesh()
+    d = np.hypot(grid.wrap_dx(x), grid.wrap_dy(y))
+    w = _disc_coverage(grid, x, y, d, (0.0, 0.0), r)
+    # freed before the window arrays are made, which keeps those from pinning
+    # the heap among temporaries (a 256^2 run peaked 2 MB higher otherwise)
+    del x, y, d
+    di, dj = np.nonzero(w)
+    window = (di, dj, w[di, dj])
+    for a in window:     # shared by every caller of the cache
+        a.setflags(write=False)
+    return window
+
+
+def _node_at(grid: Grid, p: tuple[float, float]) -> tuple[int, int] | None:
+    """The node (i, j) whose position (i hx, j hy) is exactly p, wrapped into
+    the grid, or None when p is not a node position."""
+    qx, qy = p[0] / grid.hx, p[1] / grid.hy
+    if not (math.isfinite(qx) and math.isfinite(qy)):
+        return None
+    i, j = round(qx), round(qy)
+    if (i * grid.hx, j * grid.hy) != p:
+        return None
+    return i % grid.nx, j % grid.ny
+
+
 def _local_energies(grid: Grid, density: np.ndarray, p, radii) -> tuple[float, ...]:
     """Integral of a density over the periodic disc B_r(p) for each radius.
 
-    The node mesh and the distance field to p are built once per centre;
+    At a node centre, where every ledger row and concentration report sits
+    (the density argmax node), each radius sums the density over its cached
+    window (_disc_window) shifted to that node.  The window leaves out the
+    nodes of weight 0, where the full-grid sum turns inf * 0 into nan, so a
+    density with a non-finite value takes the full-grid path, as do off-node
+    centres: the node mesh and the distance field to p are built once, and
     the coverage weights of one radius at a time are alive.
     """
     radii = validate_radii(grid, radii)
     if not radii:
         return ()
     p = (float(p[0]), float(p[1]))
+    node = _node_at(grid, p)
+    if node is not None and math.isfinite(density.sum()):
+        i, j = node
+        windows = (_disc_window(grid, r) for r in radii)
+        return tuple(float((density[(i + di) % grid.nx, (j + dj) % grid.ny] * w).sum()
+                           * grid.cell_area) for di, dj, w in windows)
     x, y = grid.mesh()
     d = np.hypot(grid.wrap_dx(x - p[0]), grid.wrap_dy(y - p[1]))
     return tuple(float((density * _disc_coverage(grid, x, y, d, p, r)).sum() * grid.cell_area)

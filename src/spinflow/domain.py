@@ -39,7 +39,9 @@ COUPLING_KINDS = tuple(dict.fromkeys(_KIND_ALIASES.values()))
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=np.float64)
+    """A read-only contiguous float64 view of a; the caller's array stays
+    writeable, and no copy is made when a already has that layout."""
+    a = np.ascontiguousarray(a, dtype=np.float64).view()
     a.setflags(write=False)
     return a
 

@@ -272,6 +272,8 @@ def evolve(initial: SphereField, coupling: Coupling, config: FlowConfig, *,
         tol = STATIONARITY_FACTOR * grid.area
     crit = critical_points(coupling)
     ledger = diagnostics.DiagnosticsLedger(radii=tuple(radii))
+    for r in ledger.radii:   # built here, the windows do not add to the loop's peak memory
+        diagnostics._disc_window(grid, r)
     reason = "t_end"
     try:
         for n, t, u, _, F, gsq, v_sq in _steps(initial, coupling, config, dt, budget,

@@ -89,8 +89,11 @@ class TestRun:
         cfgpath = write_config(tmp_path, text)
         out = tmp_path / "out"
         assert cli.main([command, cfgpath, "-o", str(out)]) == cli.EXIT_NONFINITE
-        ledger = (out / "ledger.csv").read_text().strip().split("\n")
-        assert len(ledger) == 2   # header plus the initial-state row
+        # header plus the initial-state row; the local energy is nan because
+        # the disc weights of 0 meet inf densities outside the disc
+        assert (out / "ledger.csv").read_text() == (
+            "t,E_f,v_norm_sq,ps_norm,max_density,argmax_x,argmax_y,local_E_r1,dist_to_crit\n"
+            "0.0,inf,nan,nan,inf,0.0,0.4375,nan,nan\n")
         assert not (out / "report.txt").exists()
         assert not (out / "density_final.pgm").exists()
 

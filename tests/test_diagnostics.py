@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import spinflow as sf
+from spinflow import diagnostics
 from spinflow.diagnostics import DiagnosticsLedger, LedgerRow, measure_row, validate_radii
 from spinflow.domain import _dot
 
@@ -105,6 +106,93 @@ class TestLocalEnergy:
         lo, hi = sorted((r1, r2))
         assert sf.local_energy(u, c, (px, py), lo) <= \
             sf.local_energy(u, c, (px, py), hi) + 1e-12
+
+
+#: worst relative difference of a window sum from the full-grid reference,
+#: fixed before the first run: the two sums differ only in summation order
+WINDOW_REL = 1e-12
+
+
+def reference_local_energies(grid, density, p, radii):
+    """Full-grid oracle: the coverage weight of every node for the periodic
+    distance field to p itself, summed against the density."""
+    x, y = grid.mesh()
+    d = np.hypot(grid.wrap_dx(x - p[0]), grid.wrap_dy(y - p[1]))
+    return [float((density * diagnostics._disc_coverage(grid, x, y, d, p, r)).sum()
+                  * grid.cell_area) for r in radii]
+
+
+class TestDiscWindow:
+    # radii run up to and beyond half the short side (and past the torus
+    # diameter) so the discs wrap onto themselves
+    CASES = [
+        ((24, 20, 1.2, 0.8), (1.0, 0.5, 0.4, 0.3, 0.11)),
+        ((64, 64, 1.0, 1.0), (0.75, 0.5, 0.45, 0.2, 0.04)),
+        ((256, 256, 1.0, 1.0), (0.2, 0.15, 0.1, 0.06, 0.03)),   # observed radii
+    ]
+
+    @pytest.mark.parametrize("shape, radii", CASES, ids=["24x20", "64x64", "256x256"])
+    def test_node_centres_match_full_grid_reference(self, shape, radii):
+        nx, ny, lx, ly = shape
+        g = sf.make_grid(nx, ny, lx, ly)
+        rng = np.random.default_rng(nx * ny)
+        density = rng.random(g.shape)
+        nodes = [(0, 0), (nx - 1, ny - 1), (nx // 2, 0), (0, ny - 1)]
+        nodes += [tuple(int(k) for k in rng.integers(0, (nx, ny))) for _ in range(4)]
+        for i, j in nodes:
+            p = (i * g.hx, j * g.hy)
+            assert diagnostics._node_at(g, p) == (i, j)   # the window path runs
+            got = diagnostics._local_energies(g, density, p, radii)
+            ref = reference_local_energies(g, density, p, radii)
+            for r, a, b in zip(radii, got, ref):
+                assert abs(a - b) <= WINDOW_REL * abs(b), (shape, (i, j), r, a, b)
+
+    def test_disc_past_the_torus_diameter_covers_every_node_once(self, grid64):
+        di, dj, w = diagnostics._disc_window(grid64, 0.75)
+        assert np.all(w == 1.0)
+        assert len(set(zip(di.tolist(), dj.tolist()))) == di.size == 64 * 64
+
+    def test_off_node_centres_take_the_full_grid_path(self, grid64):
+        density = np.random.default_rng(1).random(grid64.shape)
+        for p in [(0.3, 0.3), (0.5 + 0.25 * grid64.hx, 0.5), (math.nan, 0.5), (1e308, 0.5)]:
+            assert diagnostics._node_at(grid64, p) is None
+            np.testing.assert_array_equal(
+                diagnostics._local_energies(grid64, density, p, (0.2, 0.1)),
+                reference_local_energies(grid64, density, p, (0.2, 0.1)))
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_density_matches_full_grid_path(self, grid64, bad):
+        # a non-finite value outside the disc makes the full-grid sum nan
+        # (inf * 0); the window would skip that node
+        density = np.random.default_rng(2).random(grid64.shape)
+        density[40, 40] = bad
+        p = (10 * grid64.hx, 12 * grid64.hy)
+        with np.errstate(invalid="ignore"):
+            got = diagnostics._local_energies(grid64, density, p, (0.2, 0.1))
+            ref = reference_local_energies(grid64, density, p, (0.2, 0.1))
+        np.testing.assert_array_equal(got, ref)
+        assert all(math.isnan(e) for e in got)
+
+    def test_coverage_runs_once_per_radius_per_run(self, monkeypatch):
+        g = sf.make_grid(40, 40, 1.0, 1.0)
+        calls = []
+        real = diagnostics._disc_coverage
+
+        def counting(*args, **kwargs):
+            calls.append(args[-1])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(diagnostics, "_disc_coverage", counting)
+        diagnostics._disc_window.cache_clear()
+        radii = (0.3, 0.2, 0.1)
+        c = cosine_coupling(g)
+        u = sf.bubble_field(g, (0.7, 0.5), 0.1)
+        cfg = sf.FlowConfig(dt_policy="fixed", dt=sf.cfl_dt(g, c, 0.5), t_end=5e-4,
+                            diagnostic_every=1, stationarity_tol=0.0)
+        out = sf.evolve(u, c, cfg, radii=radii)
+        sf.detect_concentration(out.ledger, out.state.field, c, radii, eps_conc=1.0)
+        assert len(out.ledger) == out.state.step + 1 > 5
+        assert sorted(calls) == sorted(radii)
 
 
 class TestHopf:

@@ -102,6 +102,25 @@ class TestCoupling:
             c.values[0, 0] = 2.0
 
 
+def test_wrapping_leaves_the_callers_array_writeable(grid32):
+    # the values are a read-only view of the caller's own contiguous float64
+    # array; wrapping must not freeze that array for the caller
+    u = np.zeros((3,) + grid32.shape)
+    u[2] = 1.0
+    w = np.zeros((3,) + grid32.shape)
+    f = np.full(grid32.shape, 2.0)
+    gx, gy = np.zeros(grid32.shape), np.zeros(grid32.shape)
+    held = [sf.SphereField(grid32, u).values, sf.TangentField(grid32, w).values]
+    c = sf.Coupling(grid32, "constant", f, gx, gy)
+    held += [c.values, c.grad_x, c.grad_y]
+    for a in (u, w, f, gx, gy):
+        assert a.flags.writeable
+    for v in held:
+        assert not v.flags.writeable
+        with pytest.raises(ValueError):
+            v[0, 0] = 0.5
+
+
 class TestCriticalPoints:
     def test_cosine_four_points(self, grid64):
         c = cosine_coupling(grid64)
