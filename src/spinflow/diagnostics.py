@@ -112,8 +112,11 @@ def _node_at(grid: Grid, p: tuple[float, float]) -> tuple[int, int] | None:
     return i % grid.nx, j % grid.ny
 
 
-def _local_energies(grid: Grid, density: np.ndarray, p, radii) -> tuple[float, ...]:
-    """Integral of a density over the periodic disc B_r(p) for each radius.
+def _local_energies(grid: Grid, density: np.ndarray, p, radii,
+                    total: float | None = None) -> tuple[float, ...]:
+    """Integral of a density over the periodic disc B_r(p) for each radius
+    of the validated `radii` (validate_radii); `total` is density.sum() when
+    the caller has it already.
 
     At a node centre, where every ledger row and concentration report sits
     (the density argmax node), each radius sums the density over its cached
@@ -121,27 +124,31 @@ def _local_energies(grid: Grid, density: np.ndarray, p, radii) -> tuple[float, .
     nodes of weight 0, where the full-grid sum turns inf * 0 into nan, so a
     density with a non-finite value takes the full-grid path, as do off-node
     centres: the node mesh and the distance field to p are built once, and
-    the coverage weights of one radius at a time are alive.
+    the coverage weights of one radius at a time are alive.  The nan of
+    inf * 0 is the result there, reported by the ledger, not a warning.
     """
-    radii = validate_radii(grid, radii)
     if not radii:
         return ()
     p = (float(p[0]), float(p[1]))
     node = _node_at(grid, p)
-    if node is not None and math.isfinite(density.sum()):
+    if total is None:
+        total = density.sum()
+    if node is not None and math.isfinite(total):
         i, j = node
         windows = (_disc_window(grid, r) for r in radii)
         return tuple(float((density[(i + di) % grid.nx, (j + dj) % grid.ny] * w).sum()
                            * grid.cell_area) for di, dj, w in windows)
     x, y = grid.mesh()
     d = np.hypot(grid.wrap_dx(x - p[0]), grid.wrap_dy(y - p[1]))
-    return tuple(float((density * _disc_coverage(grid, x, y, d, p, r)).sum() * grid.cell_area)
-                 for r in radii)
+    with np.errstate(invalid="ignore"):
+        return tuple(float((density * _disc_coverage(grid, x, y, d, p, r)).sum()
+                           * grid.cell_area) for r in radii)
 
 
 def local_energy(field: SphereField, coupling: Coupling, p, r: float) -> float:
     """Energy inside the periodic disc B_r(p), boundary cells area-weighted."""
-    return _local_energies(field.grid, energy_density(field, coupling), p, (r,))[0]
+    return _local_energies(field.grid, energy_density(field, coupling), p,
+                           validate_radii(field.grid, (r,)))[0]
 
 
 def _peak(grid: Grid, density: np.ndarray) -> tuple[tuple[float, float], float]:
@@ -360,11 +367,15 @@ def validate_radii(grid: Grid, radii) -> tuple[float, ...]:
 def measure_row(grid: Grid, coupling: Coupling, gsq: np.ndarray, *, t: float,
                 v_norm_sq: float, ps_norm: float, radii: tuple[float, ...],
                 crit: CriticalSet | None) -> LedgerRow:
-    """Assemble one ledger row from a precomputed |grad u|^2 field."""
-    density = coupling.values * gsq
-    e_f = float(density.sum() * grid.cell_area)
+    """Assemble one ledger row from a precomputed |grad u|^2 field, with the
+    validated `radii` (validate_radii).  An overflowed density gives a
+    non-finite E_f, which the caller reports, so overflow is not warned of."""
+    with np.errstate(over="ignore"):
+        density = coupling.values * gsq
+    total = density.sum()
+    e_f = float(total * grid.cell_area)
     (ax, ay), peak = _peak(grid, density)
-    local = _local_energies(grid, density, (ax, ay), radii)
+    local = _local_energies(grid, density, (ax, ay), radii, total)
     if crit is None or crit.everywhere:
         dist = math.nan
     else:

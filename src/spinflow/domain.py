@@ -499,27 +499,33 @@ def make_cutoff(grid: Grid, center: tuple[float, float], a: float, b_prime: floa
 # these functions, along the last two axes
 
 
-def _wrap_pad(a: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The periodic neighbours (x+1, x-1, y+1, y-1) of every node of `a`, as
-    contiguous views, shaped like `a`, of one padded copy in a's own dtype.
+def _pad_rows(a: np.ndarray, i0: int, i1: int, pad: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The x-rows i0 <= i < i1 of `a` and their periodic neighbours (x+1,
+    x-1, y+1, y-1), as contiguous views, shaped like those rows, of one
+    block-local padded copy written into the flat buffer `pad`.
 
-    Each (nx, ny) plane is stored flat between a copy of its last row and a
-    copy of its first row, so node (i, j) has its x-neighbours ny elements
-    away and its y-neighbours one element away.  In the first and last
-    column that y-neighbour falls into the adjacent row; `_y_columns` redoes
-    those two columns.
+    Each plane of the block is stored flat between a copy of the row before
+    it and a copy of the row after it (wrapping round the torus), so node
+    (i, j) has its x-neighbours ny elements away and its y-neighbours one
+    element away.  In the first and last column that y-neighbour falls into
+    the adjacent row; `_y_columns` redoes those two columns.
     """
     nx, ny = a.shape[-2:]
-    n = nx * ny
-    p = np.empty(a.shape[:-2] + (n + 2 * ny,), dtype=a.dtype)
+    b = i1 - i0
+    p = pad.reshape(a.shape[:-2] + (b + 2, ny))
+    p[..., 1:b + 1, :] = a[..., i0:i1, :]
+    p[..., 0, :] = a[..., i0 - 1, :]
+    p[..., b + 1, :] = a[..., i1 % nx, :]
 
     def shifted(offset: int) -> np.ndarray:
-        return p[..., ny + offset:ny + offset + n].reshape(a.shape)
+        return pad[..., ny + offset:ny + offset + b * ny].reshape(a.shape[:-2] + (b, ny))
 
-    shifted(0)[...] = a
-    shifted(-ny)[..., 0, :] = a[..., -1, :]
-    shifted(ny)[..., -1, :] = a[..., 0, :]
-    return shifted(ny), shifted(-ny), shifted(1), shifted(-1)
+    return shifted(0), shifted(ny), shifted(-ny), shifted(1), shifted(-1)
+
+
+def _pad_buffer(a: np.ndarray, rows: int) -> np.ndarray:
+    """A flat pad for `rows` x-rows of `a`, in a's own dtype."""
+    return np.empty(a.shape[:-2] + ((rows + 2) * a.shape[-1],), dtype=a.dtype)
 
 
 def _y_columns(op, a: np.ndarray, out: np.ndarray) -> None:
@@ -532,47 +538,65 @@ def _y_columns(op, a: np.ndarray, out: np.ndarray) -> None:
 def _grad_arrays(a: np.ndarray, hx: float, hy: float) -> tuple[np.ndarray, np.ndarray]:
     """Periodic central differences (a_x, a_y) along the last two axes."""
     a = np.asarray(a)
-    xp, xm, yp, ym = _wrap_pad(a)
+    nx = a.shape[-2]
+    c, xp, xm, yp, ym = _pad_rows(a, 0, nx, _pad_buffer(a, nx))
     dy = yp - ym
-    _y_columns(np.subtract, a, dy)
+    _y_columns(np.subtract, c, dy)
     return (xp - xm) * (0.5 / hx), dy * (0.5 / hy)
 
 
-def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _dot(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None,
+         tmp: np.ndarray | None = None) -> np.ndarray:
     """Per-node <a, b> of component-major arrays, summed as (0 + 2) + 1: the
     order np.einsum("ijk,ijk->ij") takes over contiguous node-major arrays
     on numpy 2.4, so the bits match the node-major kernel
-    (tests/test_stencil_reference.py compares them)."""
-    out = a[0] * b[0]
-    out += a[2] * b[2]
-    out += a[1] * b[1]
+    (tests/test_stencil_reference.py compares them).  Written into `out`,
+    with `tmp` for the products, when they are given."""
+    out = np.multiply(a[0], b[0], out=out)
+    tmp = np.multiply(a[2], b[2], out=tmp)
+    out += tmp
+    np.multiply(a[1], b[1], out=tmp)
+    out += tmp
     return out
 
 
-def _stencil(a: np.ndarray, hx: float, hy: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _stencil(a: np.ndarray, hx: float, hy: float, rows: tuple[int, int] | None = None,
+             out: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+             pad: np.ndarray | None = None, tmp: np.ndarray | None = None
+             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Central differences and the 5-point Laplacian (a_x, a_y, lap a) along
-    the last two axes, all read from one periodically padded copy.
+    the last two axes, at the x-rows i0 <= i < i1 of `a` (rows = (i0, i1),
+    all rows by default), read from one block-local periodic pad.
 
     The arithmetic is that of (xp - xm) * (0.5 / hx) and
     (xp + xm - 2a) * (1 / hx^2) + (yp + ym - 2a) * (1 / hy^2), operation for
-    operation, but done in place in the results: this is the flow's hot
-    path, and every temporary freed here is heap memory that the allocator
-    may hand back to the system and fault in again on the next step.
+    operation, done in place in `out`, three arrays shaped like the rows;
+    the buffer of a_y holds 2a until a_y is computed, and a_x is computed
+    last, so its buffer may be `tmp`.  `pad` (see _pad_buffer) and `tmp`
+    (shaped like the rows) are scratch.  Whatever is not given is
+    allocated, so the flow's hot path, which passes every buffer, allocates
+    nothing.
     """
     a = np.asarray(a)
-    xp, xm, yp, ym = _wrap_pad(a)
-    ax = xp - xm
-    ax *= 0.5 / hx
-    ay = yp - ym
-    _y_columns(np.subtract, a, ay)
-    ay *= 0.5 / hy
-    two_a = 2.0 * a
-    lap = xp + xm
+    i0, i1 = (0, a.shape[-2]) if rows is None else rows
+    if pad is None:
+        pad = _pad_buffer(a, i1 - i0)
+    c, xp, xm, yp, ym = _pad_rows(a, i0, i1, pad)
+    ax, ay, lap = out if out is not None else (np.empty_like(c) for _ in range(3))
+    if tmp is None:
+        tmp = np.empty_like(c)
+    two_a = np.multiply(c, 2.0, out=ay)
+    np.add(xp, xm, out=lap)
     lap -= two_a
     lap *= 1.0 / (hx * hx)
-    lap_y = yp + ym
-    _y_columns(np.add, a, lap_y)
+    lap_y = np.add(yp, ym, out=tmp)
+    _y_columns(np.add, c, lap_y)
     lap_y -= two_a
     lap_y *= 1.0 / (hy * hy)
     lap += lap_y
+    np.subtract(yp, ym, out=ay)
+    _y_columns(np.subtract, c, ay)
+    ay *= 0.5 / hy
+    np.subtract(xp, xm, out=ax)
+    ax *= 0.5 / hx
     return ax, ay, lap

@@ -13,7 +13,9 @@ with c = 2 for the gradient flow and c = 1 for the Landau-Lifshitz flow
 `step`, `evolve` and `relax` share one stepping loop on an integer step
 budget, t = t0 + n dt.  Inside it the field is the bare (3, nx, ny) array
 of SphereField values, wrapped as a SphereField only where one leaves the
-loop.
+loop.  The loop allocates one workspace per run and reuses its arrays at
+every step: the first step reads the initial values, and the later states
+alternate between two state buffers.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 from . import diagnostics
 from .domain import Coupling, Grid, _dot, critical_points
 from .field import SphereField
-from .operators import TangentField, _rhs_arrays
+from .operators import TangentField, _rhs_arrays, _Workspace
 
 DT_POLICIES = ("fixed", "cfl")
 INTEGRATORS = ("euler", "rk4")
@@ -149,22 +151,34 @@ def _raise_blowup(velocity: np.ndarray, t: float, nstep: int):
         node=node, t=t, step=nstep)
 
 
-def _project_unit(w: np.ndarray, t: float, nstep: int) -> np.ndarray:
-    """Normalise each node of the component-major w in place and return it."""
-    norms = np.sqrt(_dot(w, w))
-    if not (norms.min() > 0.0 and math.isfinite(norms.max())):   # NaN fails both
-        ok = np.isfinite(norms) & (norms > 0.0)
-        node = tuple(int(k) for k in np.argwhere(~ok)[0])
-        raise BlowUpError(
-            f"blow-up under-resolved: renormalization failed at node {node}, "
-            f"t = {t}, step = {nstep}", node=node, t=t, step=nstep)
-    w /= norms
+def _project_unit(w: np.ndarray, t: float, nstep: int,
+                  ws: _Workspace | None = None) -> np.ndarray:
+    """Normalise each node of the component-major w in place and return it,
+    block by block of x-rows in the scratch of `ws` (a one-shot workspace
+    when none is given)."""
+    if ws is None:
+        ws = _Workspace(w.shape[1:])
+    for i0, i1, _, _, _, norms, tmp in ws.blocks:
+        wb = w[:, i0:i1]
+        np.sqrt(_dot(wb, wb, norms, tmp), out=norms)
+        if not (norms.min() > 0.0 and math.isfinite(norms.max())):   # NaN fails both
+            ok = np.isfinite(norms) & (norms > 0.0)
+            i, j = (int(k) for k in np.argwhere(~ok)[0])
+            node = (i0 + i, j)
+            raise BlowUpError(
+                f"blow-up under-resolved: renormalization failed at node {node}, "
+                f"t = {t}, step = {nstep}", node=node, t=t, step=nstep)
+        wb /= norms
     return w
 
 
 def _apply_step(u: np.ndarray, v: np.ndarray, v_sq: float, dt: float, grid: Grid,
-                coupling: Coupling, config: FlowConfig, t: float, nstep: int) -> np.ndarray:
-    """Apply one accepted step from the start velocity v, with v_sq = int |v|^2."""
+                coupling: Coupling, config: FlowConfig, t: float, nstep: int,
+                ws: _Workspace | None = None) -> np.ndarray:
+    """Apply one accepted step from the start velocity v, with v_sq = int |v|^2,
+    and return the new state: u itself at an exact stationary point, else
+    the state buffer of `ws` that does not hold u (of a one-shot workspace
+    when none is given), so u stays the last valid state if this fails."""
     if config.integrator == "euler":
         incr = v
     else:
@@ -178,11 +192,13 @@ def _apply_step(u: np.ndarray, v: np.ndarray, v_sq: float, dt: float, grid: Grid
     if not (incr is v and v_sq > 0) and not incr.any():
         # exact stationary point: keep the state bitwise unchanged
         return u
+    if ws is None:
+        ws = _Workspace(grid.shape)
     with np.errstate(over="ignore", invalid="ignore"):
         # overflow here is the under-resolved blow-up signature; the
         # projection guard below turns it into a structured error
-        w = dt * incr
-        return _project_unit(np.add(w, u, out=w), t, nstep)
+        w = np.multiply(incr, dt, out=ws.next_state(u))
+        return _project_unit(np.add(w, u, out=w), t, nstep, ws)
 
 
 def _step_budget(t_end: float, dt: float) -> int:
@@ -205,17 +221,24 @@ def _steps(field: SphereField, coupling: Coupling, config: FlowConfig, dt: float
 
     Yields (n, t, u, v, F, |grad u|^2, int |v|^2) at the start of each step
     n < budget once v has passed the blow-up check, then for the terminal
-    state n = budget unchecked; the caller stops early by leaving the loop.  snapshot_sink gets each snapshot_every-th
-    new state before its check.  A BlowUpError carries the last valid state.
+    state n = budget unchecked; the caller stops early by leaving the loop.
+    snapshot_sink gets a copy of each snapshot_every-th new state before its
+    check.  A BlowUpError carries the last valid state.
+
+    The yielded arrays belong to the loop's workspace: v, F and |grad u|^2
+    are overwritten when the loop resumes, and u (after step 0, a state
+    buffer) by the step after next.  A caller that keeps one longer keeps a
+    copy.
     """
     grid = field.grid
+    ws = _Workspace(grid.shape)
     u = field.values
     for n in range(budget + 1):
         t = t0 + n * dt
         if n and snapshot_sink and config.snapshot_every and n % config.snapshot_every == 0:
-            snapshot_sink(FlowState(_sphere_field(field, u), t=t, step=n0 + n))
+            snapshot_sink(FlowState(_sphere_field(field, u.copy()), t=t, step=n0 + n))
         try:
-            v, F, gsq = _rhs_arrays(u, grid.hx, grid.hy, coupling, config.flow_kind)
+            v, F, gsq = _rhs_arrays(u, grid.hx, grid.hy, coupling, config.flow_kind, ws)
             v_sq = float(np.einsum("ijk,ijk->", v, v) * grid.cell_area)
             # a non-finite entry makes the sum non-finite, so the nodewise
             # scan runs only when the sum is
@@ -223,7 +246,7 @@ def _steps(field: SphereField, coupling: Coupling, config: FlowConfig, dt: float
                 _raise_blowup(v, t, n0 + n)
             yield n, t, u, v, F, gsq, v_sq
             if n < budget:
-                u = _apply_step(u, v, v_sq, dt, grid, coupling, config, t, n0 + n)
+                u = _apply_step(u, v, v_sq, dt, grid, coupling, config, t, n0 + n, ws)
         except BlowUpError as err:
             err.state = FlowState(_sphere_field(field, u), t=t, step=n0 + n)
             raise
@@ -271,7 +294,7 @@ def evolve(initial: SphereField, coupling: Coupling, config: FlowConfig, *,
     if tol is None:
         tol = STATIONARITY_FACTOR * grid.area
     crit = critical_points(coupling)
-    ledger = diagnostics.DiagnosticsLedger(radii=tuple(radii))
+    ledger = diagnostics.DiagnosticsLedger(radii=diagnostics.validate_radii(grid, radii))
     for r in ledger.radii:   # built here, the windows do not add to the loop's peak memory
         diagnostics._disc_window(grid, r)
     reason = "t_end"
@@ -293,7 +316,6 @@ def evolve(initial: SphereField, coupling: Coupling, config: FlowConfig, *,
             if stationary:
                 reason = "stationary"
                 break
-            del u   # held here, it would keep two states alive across the next rhs
     except BlowUpError as err:
         err.ledger = ledger
         raise

@@ -48,7 +48,10 @@ def relax(initial: SphereField, coupling: Coupling, tol: float,
         ps = math.sqrt(v_sq)     # on the gradient flow the velocity is the defect
         history.append(ps)
         if n == 0 or ps < best_ps:
-            best_u, best_ps = u, ps
+            best_u, best_ps, held = u, ps, False
+        elif not held:
+            # the loop's next step overwrites the buffer of the best iterate
+            best_u, held = best_u.copy(), True
         if ps < tol:
             break
     converged = ps < tol

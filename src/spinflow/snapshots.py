@@ -52,12 +52,12 @@ def write_field_csv(path, field: SphereField) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("x,y,ux,uy,uz\n")
         ys = [j * g.hy for j in range(g.ny)]
-        # one contiguous node-major copy: tolist() on a transposed view is slower
-        node_major = np.ascontiguousarray(field.values.transpose(1, 2, 0))
-        for i, column in enumerate(node_major.tolist()):
+        # one x-row at a time: a node-major copy of the whole field and its
+        # list of Python floats would set the peak memory of the run
+        for i in range(g.nx):
             x = i * g.hx
             fh.writelines(f"{x!r},{y!r},{a!r},{b!r},{c!r}\n"
-                          for y, (a, b, c) in zip(ys, column))
+                          for y, a, b, c in zip(ys, *field.values[:, i].tolist()))
 
 
 def write_density_pgm(path, density: np.ndarray, maxval: int = 255) -> None:

@@ -1,4 +1,8 @@
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -40,6 +44,13 @@ diagnostics.eps_conc = 4.0
 output.dir = out
 """
 
+# f = 1e308 overflows the initial energy without taking a step
+OVERFLOWED_ENERGY = NOOP.replace("grid.nx = 32\ngrid.ny = 32", "grid.nx = 16\ngrid.ny = 16") \
+                        .replace("coupling.kind = constant",
+                                 "coupling.kind = constant\ncoupling.value = 1e308") \
+                        .replace("initial.kind = constant",
+                                 "initial.kind = bubble\ninitial.scale = 0.1")
+
 
 def write_config(tmp_path, text, name="run.cfg"):
     path = tmp_path / name
@@ -80,13 +91,7 @@ class TestRun:
 
     @pytest.mark.parametrize("command", ["run", "blowup-experiment"])
     def test_nonfinite_energy_exits_nonfinite_with_ledger(self, tmp_path, command):
-        # f = 1e308 overflows the initial energy without taking a step
-        text = NOOP.replace("grid.nx = 32\ngrid.ny = 32", "grid.nx = 16\ngrid.ny = 16") \
-                   .replace("coupling.kind = constant",
-                            "coupling.kind = constant\ncoupling.value = 1e308") \
-                   .replace("initial.kind = constant",
-                            "initial.kind = bubble\ninitial.scale = 0.1")
-        cfgpath = write_config(tmp_path, text)
+        cfgpath = write_config(tmp_path, OVERFLOWED_ENERGY)
         out = tmp_path / "out"
         assert cli.main([command, cfgpath, "-o", str(out)]) == cli.EXIT_NONFINITE
         # header plus the initial-state row; the local energy is nan because
@@ -96,6 +101,20 @@ class TestRun:
             "0.0,inf,nan,nan,inf,0.0,0.4375,nan,nan\n")
         assert not (out / "report.txt").exists()
         assert not (out / "density_final.pgm").exists()
+
+    @pytest.mark.parametrize("command", ["run", "blowup-experiment"])
+    def test_nonfinite_energy_prints_only_the_error(self, tmp_path, command):
+        # the overflow and the nan it makes are reported by the exit code and
+        # the ledger, not by numpy warnings
+        cfgpath = write_config(tmp_path, OVERFLOWED_ENERGY)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(sf.__file__)))
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+        env["PYTHONPATH"] = src
+        proc = subprocess.run([sys.executable, "-m", "spinflow.cli", command, cfgpath,
+                               "-o", str(tmp_path / "out")],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == cli.EXIT_NONFINITE
+        assert proc.stderr == "error: non-finite energy in the ledger\n"
 
     @pytest.mark.parametrize("command", ["run", "blowup-experiment"])
     def test_underflowed_step_exits_config(self, tmp_path, command):
