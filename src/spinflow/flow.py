@@ -154,21 +154,16 @@ def _raise_blowup(velocity: np.ndarray, t: float, nstep: int):
 def _project_unit(w: np.ndarray, t: float, nstep: int,
                   ws: _Workspace | None = None) -> np.ndarray:
     """Normalise each node of the component-major w in place and return it,
-    block by block of x-rows in the scratch of `ws` (a one-shot workspace
-    when none is given)."""
-    if ws is None:
-        ws = _Workspace(w.shape[1:])
-    for i0, i1, _, _, _, norms, tmp in ws.blocks:
-        wb = w[:, i0:i1]
-        np.sqrt(_dot(wb, wb, norms, tmp), out=norms)
-        if not (norms.min() > 0.0 and math.isfinite(norms.max())):   # NaN fails both
-            ok = np.isfinite(norms) & (norms > 0.0)
-            i, j = (int(k) for k in np.argwhere(~ok)[0])
-            node = (i0 + i, j)
-            raise BlowUpError(
-                f"blow-up under-resolved: renormalization failed at node {node}, "
-                f"t = {t}, step = {nstep}", node=node, t=t, step=nstep)
-        wb /= norms
+    with the norms in the per-node scratch planes of `ws` when it is given."""
+    d, tmp = (None, None) if ws is None else (ws.d, ws.tmp)
+    norms = np.sqrt(_dot(w, w, d, tmp), out=d)
+    if not (norms.min() > 0.0 and math.isfinite(norms.max())):   # NaN fails both
+        ok = np.isfinite(norms) & (norms > 0.0)
+        node = tuple(int(k) for k in np.argwhere(~ok)[0])
+        raise BlowUpError(
+            f"blow-up under-resolved: renormalization failed at node {node}, "
+            f"t = {t}, step = {nstep}", node=node, t=t, step=nstep)
+    w /= norms
     return w
 
 

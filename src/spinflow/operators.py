@@ -74,14 +74,14 @@ BLOCK_NODES = 16_384
 class _Workspace:
     """Every array one evaluation of the flow right-hand side and one step
     write, allocated once for a (nx, ny) grid: the outputs v, F and
-    |grad u|^2, two state buffers for the stepping loop, and scratch for
-    one block of x-rows.
+    |grad u|^2, two per-node scratch planes d and tmp, two state buffers for
+    the stepping loop, and the vector scratch of one block of x-rows.
 
-    `blocks` lists (i0, i1, pad, u_y, tmp3, d, tmp) per block of x-rows
-    i0 <= i < i1: the block's views of the scratch, made once because a
-    view costs microseconds and a 64^2 step only a few hundred.  Whoever
+    `blocks` lists (i0, i1, pad, u_y, tmp3) per block of x-rows
+    i0 <= i < i1: the block's views of the vector scratch, made once because
+    a view costs microseconds and a 64^2 step only a few hundred.  Whoever
     holds the workspace owns these arrays: the next evaluation overwrites
-    v, F and |grad u|^2, and each step the other state buffer.
+    v, F, |grad u|^2 and the scratch, and each step the other state buffer.
     """
 
     def __init__(self, shape: tuple[int, int]):
@@ -90,17 +90,15 @@ class _Workspace:
         rows = max(1, min(nx, BLOCK_NODES // ny))
         self.v = np.empty((3, nx, ny))
         self.F = np.empty((3, nx, ny))
-        self.gsq = np.empty((nx, ny))
+        self.gsq, self.d, self.tmp = np.empty((3, nx, ny))
         pad = np.empty(3 * (rows + 2) * ny)
         vectors = np.empty((2, 3 * rows * ny))     # u_y and the stencil's tmp
-        planes = np.empty((2, rows * ny))          # a per-node value and tmp
         self.blocks = []
         for i0 in range(0, nx, rows):
             i1 = min(i0 + rows, nx)
             n = (i1 - i0) * ny
             self.blocks.append((i0, i1, pad[:3 * (n + 2 * ny)].reshape(3, -1),
-                                *(a[:3 * n].reshape(3, i1 - i0, ny) for a in vectors),
-                                *(a[:n].reshape(i1 - i0, ny) for a in planes)))
+                                *(a[:3 * n].reshape(3, i1 - i0, ny) for a in vectors)))
         self._states = None
 
     def next_state(self, u: np.ndarray) -> np.ndarray:
@@ -127,15 +125,29 @@ def laplacian(field: SphereField) -> np.ndarray:
     return _stencil(field.values, field.grid.hx, field.grid.hy)[2]
 
 
-def _tension_arrays(u: np.ndarray, hx: float, hy: float):
-    """(tau, u_x, u_y, |grad u|^2) of a component-major u from one stencil
-    evaluation, tau = lap u + |grad u|^2 u tangentially projected."""
-    ux, uy, tau = _stencil(u, hx, hy)
-    gsq = _dot(ux, ux)
-    gsq += _dot(uy, uy)
+def _tension_arrays(u: np.ndarray, hx: float, hy: float,
+                    rows: tuple[int, int] | None = None,
+                    out: tuple[np.ndarray, ...] | None = None,
+                    scratch: tuple[np.ndarray, ...] | None = None):
+    """(tau, u_x, u_y, |grad u|^2) of a component-major u at its x-rows
+    i0 <= i < i1 (rows = (i0, i1), all rows by default) from one stencil
+    evaluation, tau = lap u + |grad u|^2 u tangentially projected.
+
+    The results are written into `out`, four arrays shaped like those rows
+    in the order returned; `scratch` = (pad, tmp3, d, tmp) is the stencil's
+    pad and vector scratch (see _stencil: u_x may be tmp3) and two per-node
+    planes.  Without them the arrays are allocated.
+    """
+    ub = u if rows is None else u[:, rows[0]:rows[1]]
+    tau, ux, uy, gsq = out or (None,) * 4
+    pad, tmp3, d, tmp = scratch or (None,) * 4
+    ux, uy, tau = _stencil(u, hx, hy, rows, out and (ux, uy, tau), pad, tmp3)
+    gsq = _dot(ux, ux, gsq, tmp)
+    gsq += _dot(uy, uy, d, tmp)
     for k in range(3):
-        tau[k] += gsq * u[k]
-    return _project(tau, u), ux, uy, gsq
+        tmp = np.multiply(gsq, ub[k], out=tmp)
+        tau[k] += tmp
+    return _project(tau, ub, d, tmp), ux, uy, gsq
 
 
 def _rhs_arrays(u: np.ndarray, hx: float, hy: float, coupling: Coupling, kind: str,
@@ -156,18 +168,15 @@ def _rhs_arrays(u: np.ndarray, hx: float, hy: float, coupling: Coupling, kind: s
         ws = _Workspace(u.shape[1:])
     v, F, gsq = ws.v, ws.F, ws.gsq
     with np.errstate(over="ignore", invalid="ignore"):
-        for i0, i1, pad, uy, tmp3, d, tmp in ws.blocks:
-            ub, Fb, gb = u[:, i0:i1], F[:, i0:i1], gsq[i0:i1]
+        for i0, i1, pad, uy, tmp3 in ws.blocks:
+            ub, d, tmp = u[:, i0:i1], ws.d[i0:i1], ws.tmp[i0:i1]
             # u_x goes where the block's LL velocity is written last; the
             # gradient flow's v is F, so its u_x takes the stencil's scratch
             # and v is never touched
             ux = tmp3 if kind == "gradient" else v[:, i0:i1]
-            _stencil(u, hx, hy, (i0, i1), (ux, uy, Fb), pad, tmp3)
-            _dot(ux, ux, gb, tmp)
-            gb += _dot(uy, uy, d, tmp)
-            for k in range(3):
-                Fb[k] += np.multiply(gb, ub[k], out=tmp)
-            _project(Fb, ub, d, tmp)
+            Fb, ux, uy, _ = _tension_arrays(u, hx, hy, (i0, i1),
+                                            (F[:, i0:i1], ux, uy, gsq[i0:i1]),
+                                            (pad, tmp3, d, tmp))
             Fb *= coupling.values[i0:i1]
             ux *= coupling.grad_x[i0:i1]
             Fb += ux

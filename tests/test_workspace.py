@@ -14,6 +14,7 @@ import pytest
 import spinflow as sf
 from spinflow import flow as flow_module
 from spinflow.flow import FlowState
+from spinflow.operators import _rhs_arrays, _Workspace
 from spinflow.relax import DEFAULT_SAFETY
 
 from conftest import blob_field, cosine_coupling
@@ -124,3 +125,49 @@ def test_euler_steps_allocate_no_state_sized_array(monkeypatch):
     assert len(seen) == 13
     state_bytes = u0.values.nbytes
     assert seen[-1] - seen[1] < state_bytes / 4   # the peak over steps 2..N
+
+
+# 160 x-rows of 130 nodes run as two blocks of x-rows, 126 and then 34, so
+# the second block has its own halo rows and wraps round to row 0
+UNEVEN = (160, 130, 1.0, 1.0)
+
+
+def test_uneven_grid_runs_as_two_blocks():
+    ws = _Workspace(UNEVEN[:2])
+    assert [(i0, i1) for i0, i1, *_ in ws.blocks] == [(0, 126), (126, 160)]
+
+
+@pytest.mark.parametrize("kind", ["gradient", "landau_lifshitz"])
+def test_blocks_match_the_reference_kernel(kind):
+    g = sf.make_grid(*UNEVEN)
+    c = cosine_coupling(g)
+    u0 = sf.perturb(blob_field(g), 0.3, 5)
+    ref = ref_rhs_arrays(node_major(u0.values), g.hx, g.hy, c, kind)
+    v, F, gsq = _rhs_arrays(u0.values, g.hx, g.hy, c, kind, _Workspace(g.shape))
+    assert np.array_equal(v, component_major(ref[0]))
+    assert np.array_equal(F, component_major(ref[1]))
+    assert np.array_equal(gsq, ref[2])
+    cfg = fixed(g, c, 4, flow_kind=kind)
+    out = sf.evolve(u0, c, cfg)
+    assert out.state.step == 4
+    want = ref_euler(node_major(u0.values), c, cfg.dt, kind, 4)[0]
+    assert np.array_equal(out.state.field.values, component_major(want))
+
+
+@pytest.mark.parametrize("f, failure", [(1e308, "non-finite velocity"),
+                                        (1e300, "renormalization failed")])
+def test_blow_up_in_the_second_block_names_its_node(f, failure):
+    # a huge f at one node of the second block overflows the defect there
+    # (1e308) or, one step later, the renormalisation (1e300)
+    g = sf.make_grid(*UNEVEN)
+    values = np.ones(g.shape)
+    values[140, 7] = f
+    zeros = np.zeros(g.shape)
+    c = sf.Coupling(g, "custom-sampled", values, zeros, zeros)
+    u0 = sf.perturb(blob_field(g), 0.3, 5)
+    cfg = sf.FlowConfig(flow_kind="landau_lifshitz", dt_policy="fixed", dt=1e-6)
+    with pytest.raises(sf.BlowUpError, match=failure) as err:
+        for _ in flow_module._steps(u0, c, cfg, cfg.dt, 10):
+            pass
+    assert err.value.node == (140, 7) and err.value.step == 0
+    assert err.value.state.field is u0
