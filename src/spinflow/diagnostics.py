@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from scipy import ndimage
 
 from .domain import Coupling, CriticalSet, CutoffField, Grid, _dot, _grad_arrays, critical_points
 from .field import SphereField
@@ -238,16 +237,49 @@ def _flow_positions(grid: Grid, cutoff: CutoffField, s: float) -> tuple[np.ndarr
     return px, py
 
 
+def _spline_coefficients(a: np.ndarray) -> np.ndarray:
+    """Periodic cubic B-spline coefficients c of samples a along the last two
+    axes: the spline sum_k c_k B(i - k) equals a at every node.  B is 4/6 at
+    0 and 1/6 at +-1, so per axis the prefilter divides by the symbol
+    (4 + 2 cos theta) / 6 in Fourier space."""
+    nx, ny = a.shape[-2:]
+    sx = (4.0 + 2.0 * np.cos(2.0 * np.pi * np.fft.fftfreq(nx))) / 6.0
+    sy = (4.0 + 2.0 * np.cos(2.0 * np.pi * np.fft.rfftfreq(ny))) / 6.0
+    return np.fft.irfft2(np.fft.rfft2(a) / np.multiply.outer(sx, sy), s=(nx, ny))
+
+
+def _bspline_weights(t: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Cubic B-spline weights of the nodes floor(x) - 1, ..., floor(x) + 2 at
+    the offset t = x - floor(x)."""
+    s = 1.0 - t
+    t2 = t * t
+    t3 = t2 * t
+    return (s * s * s / 6.0, (4.0 - 6.0 * t2 + 3.0 * t3) / 6.0,
+            (1.0 + 3.0 * (t + t2 - t3)) / 6.0, t3 / 6.0)
+
+
+def _spline_at(coeffs: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The periodic cubic spline with coefficients `coeffs` (last two axes)
+    at the node-index coordinates (x, y), from the 4x4 nodes around each
+    point with indices wrapped round the torus."""
+    nx, ny = coeffs.shape[-2:]
+    ix, iy = np.floor(x), np.floor(y)
+    wx, wy = _bspline_weights(x - ix), _bspline_weights(y - iy)
+    ix = ix.astype(np.intp) - 1
+    iy = iy.astype(np.intp) - 1
+    out = np.zeros(coeffs.shape[:-2] + np.shape(x))
+    for a in range(4):
+        rows = (ix + a) % nx
+        for b in range(4):
+            out += (wx[a] * wy[b]) * coeffs[..., rows, (iy + b) % ny]
+    return out
+
+
 def _compose(field: SphereField, px: np.ndarray, py: np.ndarray) -> np.ndarray:
     """Sample u at the moved positions with periodic cubic-spline interpolation,
     then renormalize nodewise."""
     grid = field.grid
-    coords = np.stack([px / grid.hx, py / grid.hy])
-    out = np.empty_like(field.values)
-    for c in range(3):
-        coeffs = ndimage.spline_filter(field.values[c], order=3, mode="grid-wrap")
-        out[c] = ndimage.map_coordinates(coeffs, coords, order=3,
-                                         mode="grid-wrap", prefilter=False)
+    out = _spline_at(_spline_coefficients(field.values), px / grid.hx, py / grid.hy)
     return out / np.sqrt(_dot(out, out))
 
 

@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy import ndimage
 
 MIN_NODES = 8
 
@@ -323,6 +322,14 @@ def critical_points(coupling: Coupling) -> CriticalSet:
     return _sampled_critical_points(coupling, grid)
 
 
+def _periodic_min3(a: np.ndarray) -> np.ndarray:
+    """Minimum of a 2D array over each node's periodic 3x3 neighbourhood,
+    taken one axis at a time."""
+    for axis in (0, 1):
+        a = np.minimum(a, np.minimum(np.roll(a, 1, axis), np.roll(a, -1, axis)))
+    return a
+
+
 def _sampled_critical_points(coupling: Coupling, grid: Grid) -> CriticalSet:
     f = coupling.values
     gx, gy = coupling.grad_x, coupling.grad_y
@@ -332,7 +339,7 @@ def _sampled_critical_points(coupling: Coupling, grid: Grid) -> CriticalSet:
     gnorm = gx * gx + gy * gy
     candidates = flip_x & flip_y
     # keep only local minima of |grad f|^2 among candidates (dedupe clusters)
-    candidates &= gnorm <= ndimage.minimum_filter(gnorm, size=3, mode="wrap")
+    candidates &= gnorm <= _periodic_min3(gnorm)
     pts = []
     hx, hy = grid.hx, grid.hy
     for i, j in zip(*np.nonzero(candidates)):
@@ -499,50 +506,80 @@ def make_cutoff(grid: Grid, center: tuple[float, float], a: float, b_prime: floa
 # these functions, along the last two axes
 
 
-def _pad_rows(a: np.ndarray, i0: int, i1: int, pad: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The x-rows i0 <= i < i1 of `a` and their periodic neighbours (x+1,
-    x-1, y+1, y-1), as contiguous views, shaped like those rows, of one
-    block-local padded copy written into the flat buffer `pad`.
+class _Pad:
+    """A block-local periodic pad for `rows` x-rows of arrays shaped
+    lead + (nx, ny), in the flat buffer `buf` (allocated in `dtype` when not
+    given), with every view that writes or reads it made once: a view costs
+    microseconds and a 64^2 step only a few hundred.
 
     Each plane of the block is stored flat between a copy of the row before
     it and a copy of the row after it (wrapping round the torus), so node
     (i, j) has its x-neighbours ny elements away and its y-neighbours one
-    element away.  In the first and last column that y-neighbour falls into
-    the adjacent row; `_y_columns` redoes those two columns.
+    element away.  `views` are the rows themselves and their periodic
+    neighbours (x+1, x-1, y+1, y-1), contiguous and shaped like the rows.
+    In the first and last column the y-neighbour falls into the adjacent
+    row; `_y_columns` redoes those two columns from `columns`, the rows'
+    columns 1, -1, 0 and -2.
     """
-    nx, ny = a.shape[-2:]
-    b = i1 - i0
-    p = pad.reshape(a.shape[:-2] + (b + 2, ny))
-    p[..., 1:b + 1, :] = a[..., i0:i1, :]
-    p[..., 0, :] = a[..., i0 - 1, :]
-    p[..., b + 1, :] = a[..., i1 % nx, :]
 
-    def shifted(offset: int) -> np.ndarray:
-        return pad[..., ny + offset:ny + offset + b * ny].reshape(a.shape[:-2] + (b, ny))
-
-    return shifted(0), shifted(ny), shifted(-ny), shifted(1), shifted(-1)
-
-
-def _pad_buffer(a: np.ndarray, rows: int) -> np.ndarray:
-    """A flat pad for `rows` x-rows of `a`, in a's own dtype."""
-    return np.empty(a.shape[:-2] + ((rows + 2) * a.shape[-1],), dtype=a.dtype)
+    def __init__(self, lead: tuple[int, ...], rows: int, ny: int,
+                 buf: np.ndarray | None = None, dtype=np.float64):
+        size = (rows + 2) * ny
+        flat = np.empty(lead + (size,), dtype) if buf is None else buf[:math.prod(lead) * size]
+        flat = flat.reshape(lead + (size,))
+        padded = flat.reshape(lead + (rows + 2, ny))
+        self.first, self.body, self.last = padded[..., 0, :], padded[..., 1:-1, :], padded[..., -1, :]
+        n = rows * ny
+        self.views = tuple(flat[..., ny + k:ny + k + n].reshape(lead + (rows, ny))
+                           for k in (0, ny, -ny, 1, -1))
+        c = self.views[0]
+        self.columns = (c[..., 1], c[..., -1], c[..., 0], c[..., -2])
 
 
-def _y_columns(op, a: np.ndarray, out: np.ndarray) -> None:
+def _pad_rows(a: np.ndarray, i0: int, i1: int, pad: _Pad | None = None) -> _Pad:
+    """Copy the x-rows i0 <= i < i1 of `a`, with the rows before and after
+    them, into `pad` (a new one when none is given) and return the pad."""
+    if pad is None:
+        pad = _Pad(a.shape[:-2], i1 - i0, a.shape[-1], dtype=a.dtype)
+    pad.body[...] = a[..., i0:i1, :]
+    pad.first[...] = a[..., i0 - 1, :]
+    pad.last[...] = a[..., i1 % a.shape[-2], :]
+    return pad
+
+
+def _y_columns(op, pad: _Pad, out: np.ndarray) -> None:
     """Redo op(y+1, y-1) in the first and last column of `out` with the
     periodic neighbours, which lie in the same row."""
-    op(a[..., 1], a[..., -1], out=out[..., 0])
-    op(a[..., 0], a[..., -2], out=out[..., -1])
+    c1, c_1, c0, c_2 = pad.columns
+    op(c1, c_1, out=out[..., 0])
+    op(c0, c_2, out=out[..., -1])
 
 
-def _grad_arrays(a: np.ndarray, hx: float, hy: float) -> tuple[np.ndarray, np.ndarray]:
-    """Periodic central differences (a_x, a_y) along the last two axes."""
+def _grad_rows(pad: _Pad, hx: float, hy: float, ax: np.ndarray, ay: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """Central differences (a_x, a_y) of the rows held by `pad`, computed as
+    (xp - xm) * (0.5 / hx) and (yp - ym) * (0.5 / hy) in place in ax and ay;
+    ay is written first."""
+    _, xp, xm, yp, ym = pad.views
+    np.subtract(yp, ym, out=ay)
+    _y_columns(np.subtract, pad, ay)
+    ay *= 0.5 / hy
+    np.subtract(xp, xm, out=ax)
+    ax *= 0.5 / hx
+    return ax, ay
+
+
+def _grad_arrays(a: np.ndarray, hx: float, hy: float, rows: tuple[int, int] | None = None,
+                 out: tuple[np.ndarray, np.ndarray] | None = None, pad: _Pad | None = None
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Periodic central differences (a_x, a_y) along the last two axes, at
+    the x-rows i0 <= i < i1 of `a` (rows = (i0, i1), all rows by default),
+    written into `out` and read from the scratch `pad` when they are given."""
     a = np.asarray(a)
-    nx = a.shape[-2]
-    c, xp, xm, yp, ym = _pad_rows(a, 0, nx, _pad_buffer(a, nx))
-    dy = yp - ym
-    _y_columns(np.subtract, c, dy)
-    return (xp - xm) * (0.5 / hx), dy * (0.5 / hy)
+    i0, i1 = (0, a.shape[-2]) if rows is None else rows
+    pad = _pad_rows(a, i0, i1, pad)
+    ax, ay = out if out is not None else (np.empty_like(pad.views[0]) for _ in range(2))
+    return _grad_rows(pad, hx, hy, ax, ay)
 
 
 def _dot(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None,
@@ -562,26 +599,25 @@ def _dot(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None,
 
 def _stencil(a: np.ndarray, hx: float, hy: float, rows: tuple[int, int] | None = None,
              out: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
-             pad: np.ndarray | None = None, tmp: np.ndarray | None = None
+             pad: _Pad | None = None, tmp: np.ndarray | None = None
              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Central differences and the 5-point Laplacian (a_x, a_y, lap a) along
     the last two axes, at the x-rows i0 <= i < i1 of `a` (rows = (i0, i1),
     all rows by default), read from one block-local periodic pad.
 
-    The arithmetic is that of (xp - xm) * (0.5 / hx) and
+    The arithmetic is that of _grad_rows and
     (xp + xm - 2a) * (1 / hx^2) + (yp + ym - 2a) * (1 / hy^2), operation for
     operation, done in place in `out`, three arrays shaped like the rows;
     the buffer of a_y holds 2a until a_y is computed, and a_x is computed
-    last, so its buffer may be `tmp`.  `pad` (see _pad_buffer) and `tmp`
+    last, so its buffer may be `tmp`.  `pad` (a _Pad for the rows) and `tmp`
     (shaped like the rows) are scratch.  Whatever is not given is
     allocated, so the flow's hot path, which passes every buffer, allocates
     nothing.
     """
     a = np.asarray(a)
     i0, i1 = (0, a.shape[-2]) if rows is None else rows
-    if pad is None:
-        pad = _pad_buffer(a, i1 - i0)
-    c, xp, xm, yp, ym = _pad_rows(a, i0, i1, pad)
+    pad = _pad_rows(a, i0, i1, pad)
+    c, xp, xm, yp, ym = pad.views
     ax, ay, lap = out if out is not None else (np.empty_like(c) for _ in range(3))
     if tmp is None:
         tmp = np.empty_like(c)
@@ -590,13 +626,9 @@ def _stencil(a: np.ndarray, hx: float, hy: float, rows: tuple[int, int] | None =
     lap -= two_a
     lap *= 1.0 / (hx * hx)
     lap_y = np.add(yp, ym, out=tmp)
-    _y_columns(np.add, c, lap_y)
+    _y_columns(np.add, pad, lap_y)
     lap_y -= two_a
     lap_y *= 1.0 / (hy * hy)
     lap += lap_y
-    np.subtract(yp, ym, out=ay)
-    _y_columns(np.subtract, c, ay)
-    ay *= 0.5 / hy
-    np.subtract(xp, xm, out=ax)
-    ax *= 0.5 / hx
+    ax, ay = _grad_rows(pad, hx, hy, ax, ay)
     return ax, ay, lap

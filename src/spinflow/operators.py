@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import Coupling, Grid, _dot, _grad_arrays, _readonly, _stencil
+from .domain import Coupling, Grid, _dot, _grad_arrays, _Pad, _readonly, _stencil
 from .field import SphereField
 
 
@@ -73,6 +73,22 @@ def _cross(a: np.ndarray, b: np.ndarray, out: np.ndarray,
 BLOCK_NODES = 16_384
 
 
+def _row_blocks(shape: tuple[int, int], vectors: int) -> list[tuple]:
+    """(i0, i1, pad, *scratch) per block of x-rows i0 <= i < i1 of a (3, nx,
+    ny) array: the block's _Pad and `vectors` vector scratch arrays shaped
+    like its rows, all views of buffers sized for the largest block."""
+    nx, ny = shape
+    rows = max(1, min(nx, BLOCK_NODES // ny))
+    pad = np.empty(3 * (rows + 2) * ny)
+    scratch = np.empty((vectors, 3 * rows * ny))
+    blocks = []
+    for i0 in range(0, nx, rows):
+        i1 = min(i0 + rows, nx)
+        blocks.append((i0, i1, _Pad((3,), i1 - i0, ny, pad),
+                       *(a[:3 * (i1 - i0) * ny].reshape(3, i1 - i0, ny) for a in scratch)))
+    return blocks
+
+
 class _Workspace:
     """Every array one evaluation of the flow right-hand side and one step
     write, allocated once for a (nx, ny) grid: the outputs v, F and
@@ -80,27 +96,18 @@ class _Workspace:
     the stepping loop, and the vector scratch of one block of x-rows.
 
     `blocks` lists (i0, i1, pad, u_y, tmp3) per block of x-rows
-    i0 <= i < i1: the block's views of the vector scratch, made once because
-    a view costs microseconds and a 64^2 step only a few hundred.  Whoever
-    holds the workspace owns these arrays: the next evaluation overwrites
-    v, F, |grad u|^2 and the scratch, and each step the other state buffer.
+    i0 <= i < i1 (see _row_blocks).  Whoever holds the workspace owns these
+    arrays: the next evaluation overwrites v, F, |grad u|^2 and the scratch,
+    and each step the other state buffer.
     """
 
     def __init__(self, shape: tuple[int, int]):
         nx, ny = shape
         self.shape = (nx, ny)
-        rows = max(1, min(nx, BLOCK_NODES // ny))
         self.v = np.empty((3, nx, ny))
         self.F = np.empty((3, nx, ny))
         self.gsq, self.d, self.tmp = np.empty((3, nx, ny))
-        pad = np.empty(3 * (rows + 2) * ny)
-        vectors = np.empty((2, 3 * rows * ny))     # u_y and the stencil's tmp
-        self.blocks = []
-        for i0 in range(0, nx, rows):
-            i1 = min(i0 + rows, nx)
-            n = (i1 - i0) * ny
-            self.blocks.append((i0, i1, pad[:3 * (n + 2 * ny)].reshape(3, -1),
-                                *(a[:3 * n].reshape(3, i1 - i0, ny) for a in vectors)))
+        self.blocks = _row_blocks(self.shape, 2)     # u_y and the stencil's tmp
         self._states = None
 
     def next_state(self, u: np.ndarray) -> np.ndarray:
@@ -117,9 +124,18 @@ def grad(field: SphereField) -> tuple[np.ndarray, np.ndarray]:
 
 
 def grad_squared(field: SphereField) -> np.ndarray:
-    """|grad u|^2 = |u_x|^2 + |u_y|^2 per node, from the same stencil as grad."""
-    ux, uy = grad(field)
-    return _dot(ux, ux) + _dot(uy, uy)
+    """|grad u|^2 = |u_x|^2 + |u_y|^2 per node, from the same stencil as grad,
+    block by block of x-rows, so no full-grid gradient is built."""
+    u, g = field.values, field.grid
+    gsq = np.empty(g.shape)
+    blocks = _row_blocks(g.shape, 2)
+    d, tmp = np.empty((2, blocks[0][1], g.ny))     # planes for the first, largest block
+    for i0, i1, pad, ux, uy in blocks:
+        ux, uy = _grad_arrays(u, g.hx, g.hy, (i0, i1), (ux, uy), pad)
+        b = i1 - i0
+        _dot(ux, ux, gsq[i0:i1], tmp[:b])
+        gsq[i0:i1] += _dot(uy, uy, d[:b], tmp[:b])
+    return gsq
 
 
 def laplacian(field: SphereField) -> np.ndarray:
@@ -130,7 +146,7 @@ def laplacian(field: SphereField) -> np.ndarray:
 def _tension_arrays(u: np.ndarray, hx: float, hy: float,
                     rows: tuple[int, int] | None = None,
                     out: tuple[np.ndarray, ...] | None = None,
-                    scratch: tuple[np.ndarray, ...] | None = None):
+                    scratch: tuple | None = None):
     """(tau, u_x, u_y, |grad u|^2) of a component-major u at its x-rows
     i0 <= i < i1 (rows = (i0, i1), all rows by default) from one stencil
     evaluation, tau = lap u + |grad u|^2 u tangentially projected.

@@ -25,7 +25,8 @@ def write_snapshot(path, field: SphereField) -> None:
     g = field.grid
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, VERSION, g.nx, g.ny, g.lx, g.ly))
-        fh.write(np.ascontiguousarray(field.values.transpose(1, 2, 0), dtype="<f8").tobytes())
+        # the node-major copy is written through its buffer, without a bytes copy
+        fh.write(np.ascontiguousarray(field.values.transpose(1, 2, 0), dtype="<f8"))
 
 
 def read_snapshot(path) -> SphereField:

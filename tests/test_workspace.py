@@ -19,7 +19,7 @@ from spinflow.relax import DEFAULT_SAFETY
 
 from conftest import blob_field, cosine_coupling
 from test_stencil_reference import component_major, node_major, ref_dot, ref_euler, \
-    ref_rhs_arrays
+    ref_rhs_arrays, ref_stencil
 
 
 def fixed(grid, coupling, nsteps, **kw):
@@ -171,3 +171,26 @@ def test_blow_up_in_the_second_block_names_its_node(f, failure):
             pass
     assert err.value.node == (140, 7) and err.value.step == 0
     assert err.value.state.field is u0
+
+
+def test_grad_squared_in_two_blocks_matches_the_reference_kernel():
+    g = sf.make_grid(*UNEVEN)
+    u = sf.perturb(blob_field(g), 0.3, 5)
+    ux, uy = ref_stencil(node_major(u.values), g.hx, g.hy)[:2]
+    assert np.array_equal(sf.grad_squared(u), ref_dot(ux, ux) + ref_dot(uy, uy))
+
+
+def test_energy_density_builds_no_full_grid_gradient():
+    # at 256^2 (four blocks) the density allocates its result, |grad u|^2
+    # and one block's scratch, about 1.3 vector fields' worth; the full-grid
+    # u_x, u_y, pad and products took 4.0
+    g = sf.make_grid(256, 256, 1.0, 1.0)
+    u = blob_field(g)
+    c = cosine_coupling(g)
+    tracemalloc.start()
+    try:
+        sf.energy_density(u, c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * u.values.nbytes
