@@ -16,7 +16,7 @@ import numpy as np
 from . import diagnostics
 from .domain import _KIND_ALIASES, Coupling, Grid, make_coupling, make_grid
 from .field import SphereField, bubble_field, constant_field, great_circle_field, perturb
-from .flow import FlowConfig, _step_budget, resolve_dt
+from .flow import _FLOW_KIND_ALIASES, FLOW_KINDS, INTEGRATORS, FlowConfig, _step_budget, resolve_dt
 from .relax import DEFAULT_SAFETY
 
 REQUIRED_SECTIONS = ("grid", "coupling", "initial", "flow")
@@ -107,7 +107,8 @@ _SCHEMA = {
 #: selector key -> {kind: the keys of the selector's section that it takes}.
 #: A key that one kind takes is an error with any other kind; initial.seed is
 #: in no list, so every initial kind accepts it.  The coupling keys are the
-#: params of make_coupling, with `file` read into `values`.
+#: params of make_coupling, with `file` read into `values`.  A kind is looked
+#: up under its canonical name (_ALIASES).
 _KIND_KEYS = {
     "coupling.kind": {
         "constant": ("value",),
@@ -121,7 +122,10 @@ _KIND_KEYS = {
         "bubble": ("vx", "vy", "vz", "px", "py", "scale"),
     },
     "flow.dt_policy": {"cfl": ("safety",), "fixed": ("dt",)},
+    "flow.kind": dict.fromkeys(FLOW_KINDS, ()),
+    "flow.integrator": dict.fromkeys(INTEGRATORS, ()),
 }
+_ALIASES = {"coupling.kind": _KIND_ALIASES, "flow.kind": _FLOW_KIND_ALIASES}
 
 #: default probe radii as fractions of min(lx, ly)
 _DEFAULT_RADII_FRACTIONS = (0.25, 0.125, 0.0625)
@@ -213,7 +217,7 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
 
     for selector, kinds in _KIND_KEYS.items():
         kind = values[selector]
-        takes = kinds.get(_KIND_ALIASES.get(kind) if selector == "coupling.kind" else kind)
+        takes = kinds.get(_ALIASES.get(selector, {}).get(kind, kind))
         if takes is None:
             fail(selector, f"must be one of {tuple(kinds)}, got {kind!r}")
         section = selector.split(".")[0]

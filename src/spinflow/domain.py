@@ -13,7 +13,10 @@ which index the node (i, j).  Scalars are (nx, ny); vector fields (the
 values of SphereField and TangentField, gradients, Laplacians and flow
 velocities) are stored component-major, (3, nx, ny), one contiguous plane
 per component, and per-node algebra runs plane by plane (`_dot`).  Only the
-snapshot and field-CSV files list the components node by node.
+snapshot and field-CSV files list the components node by node.  Inside the
+stepping loop a state is a (3, nx, ny) view of a padded buffer (see _Pad
+and operators._Workspace), whose planes are contiguous but lie two halo
+x-rows apart; SphereField.values stays a contiguous (3, nx, ny) copy.
 """
 
 from __future__ import annotations
@@ -503,132 +506,141 @@ def make_cutoff(grid: Grid, center: tuple[float, float], a: float, b_prime: floa
 
 # ---------------------------------------------------------------------------
 # Periodic stencil: every difference quotient of the package goes through
-# these functions, along the last two axes
+# these functions, along the last two axes.
+#
+# The kernel functions make every array operation as call(ufunc, *operands,
+# out).  With `_eager` the call runs at once; the step workspace
+# (operators._Workspace) passes a _Plan instead, which records the call with
+# its views and scalars bound, once per run, and replays the list each step.
+
+
+def _eager(ufunc, *args):
+    """ufunc(*args) now; the last argument is the output (None allocates it)."""
+    return ufunc(*args)
+
+
+class _Plan(list):
+    """A recorded list of (function, args) calls.  Calling the plan records
+    a call and returns its last argument, the output of a ufunc call; run()
+    makes the recorded calls in order."""
+
+    def __call__(self, ufunc, *args):
+        self.append((ufunc, args))
+        return args[-1]
+
+    def run(self) -> None:
+        for ufunc, args in self:
+            ufunc(*args)
 
 
 class _Pad:
-    """A block-local periodic pad for `rows` x-rows of arrays shaped
-    lead + (nx, ny), in the flat buffer `buf` (allocated in `dtype` when not
-    given), with every view that writes or reads it made once: a view costs
+    """The views of a periodic pad: an array shaped lead + ((rows + 2) * ny,)
+    that stores each plane of `rows` x-rows flat between a copy of the row
+    before them and a copy of the row after them (wrapping round the torus),
+    so node (i, j) has its x-neighbours ny elements away and its
+    y-neighbours one element away.  Every view is made once: a view costs
     microseconds and a 64^2 step only a few hundred.
 
-    Each plane of the block is stored flat between a copy of the row before
-    it and a copy of the row after it (wrapping round the torus), so node
-    (i, j) has its x-neighbours ny elements away and its y-neighbours one
-    element away.  `views` are the rows themselves and their periodic
-    neighbours (x+1, x-1, y+1, y-1), contiguous and shaped like the rows.
-    In the first and last column the y-neighbour falls into the adjacent
-    row; `_y_columns` redoes those two columns from `columns`, the rows'
-    columns 1, -1, 0 and -2.
+    `views` are the rows themselves and their periodic neighbours (x+1, x-1,
+    y+1, y-1), shaped like the rows.  In the first and last column the
+    y-neighbour falls into the adjacent row; `_y_columns` redoes those two
+    columns from `columns`, the rows' columns 1, -1, 0 and -2.
     """
 
-    def __init__(self, lead: tuple[int, ...], rows: int, ny: int,
-                 buf: np.ndarray | None = None, dtype=np.float64):
-        size = (rows + 2) * ny
-        flat = np.empty(lead + (size,), dtype) if buf is None else buf[:math.prod(lead) * size]
-        flat = flat.reshape(lead + (size,))
-        padded = flat.reshape(lead + (rows + 2, ny))
-        self.first, self.body, self.last = padded[..., 0, :], padded[..., 1:-1, :], padded[..., -1, :]
-        n = rows * ny
-        self.views = tuple(flat[..., ny + k:ny + k + n].reshape(lead + (rows, ny))
+    def __init__(self, flat: np.ndarray, ny: int):
+        n = flat.shape[-1] - 2 * ny
+        shape = flat.shape[:-1] + (n // ny, ny)
+        self.views = tuple(flat[..., ny + k:ny + k + n].reshape(shape)
                            for k in (0, ny, -ny, 1, -1))
         c = self.views[0]
         self.columns = (c[..., 1], c[..., -1], c[..., 0], c[..., -2])
 
 
-def _pad_rows(a: np.ndarray, i0: int, i1: int, pad: _Pad | None = None) -> _Pad:
+def _pad_rows(a: np.ndarray, i0: int, i1: int, buf: np.ndarray | None = None) -> _Pad:
     """Copy the x-rows i0 <= i < i1 of `a`, with the rows before and after
-    them, into `pad` (a new one when none is given) and return the pad."""
-    if pad is None:
-        pad = _Pad(a.shape[:-2], i1 - i0, a.shape[-1], dtype=a.dtype)
-    pad.body[...] = a[..., i0:i1, :]
-    pad.first[...] = a[..., i0 - 1, :]
-    pad.last[...] = a[..., i1 % a.shape[-2], :]
-    return pad
+    them, into a pad in the flat buffer `buf` (a new one in a's dtype when
+    none is given) and return the pad."""
+    lead, ny = a.shape[:-2], a.shape[-1]
+    size = (i1 - i0 + 2) * ny
+    flat = np.empty(lead + (size,), a.dtype) if buf is None else buf[:math.prod(lead) * size]
+    rows = flat.reshape(lead + (i1 - i0 + 2, ny))
+    rows[..., 1:-1, :] = a[..., i0:i1, :]
+    rows[..., 0, :] = a[..., i0 - 1, :]
+    rows[..., -1, :] = a[..., i1 % a.shape[-2], :]
+    return _Pad(flat.reshape(lead + (size,)), ny)
 
 
-def _y_columns(op, pad: _Pad, out: np.ndarray) -> None:
+def _y_columns(call, op, pad: _Pad, out: np.ndarray) -> None:
     """Redo op(y+1, y-1) in the first and last column of `out` with the
     periodic neighbours, which lie in the same row."""
     c1, c_1, c0, c_2 = pad.columns
-    op(c1, c_1, out=out[..., 0])
-    op(c0, c_2, out=out[..., -1])
+    call(op, c1, c_1, out[..., 0])
+    call(op, c0, c_2, out[..., -1])
 
 
-def _grad_rows(pad: _Pad, hx: float, hy: float, ax: np.ndarray, ay: np.ndarray
+def _grad_rows(call, pad: _Pad, hx: float, hy: float, ax: np.ndarray, ay: np.ndarray
                ) -> tuple[np.ndarray, np.ndarray]:
     """Central differences (a_x, a_y) of the rows held by `pad`, computed as
     (xp - xm) * (0.5 / hx) and (yp - ym) * (0.5 / hy) in place in ax and ay;
     ay is written first."""
     _, xp, xm, yp, ym = pad.views
-    np.subtract(yp, ym, out=ay)
-    _y_columns(np.subtract, pad, ay)
-    ay *= 0.5 / hy
-    np.subtract(xp, xm, out=ax)
-    ax *= 0.5 / hx
+    call(np.subtract, yp, ym, ay)
+    _y_columns(call, np.subtract, pad, ay)
+    call(np.multiply, ay, 0.5 / hy, ay)
+    call(np.subtract, xp, xm, ax)
+    call(np.multiply, ax, 0.5 / hx, ax)
     return ax, ay
 
 
-def _grad_arrays(a: np.ndarray, hx: float, hy: float, rows: tuple[int, int] | None = None,
-                 out: tuple[np.ndarray, np.ndarray] | None = None, pad: _Pad | None = None
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """Periodic central differences (a_x, a_y) along the last two axes, at
-    the x-rows i0 <= i < i1 of `a` (rows = (i0, i1), all rows by default),
-    written into `out` and read from the scratch `pad` when they are given."""
+def _grad_arrays(a: np.ndarray, hx: float, hy: float) -> tuple[np.ndarray, np.ndarray]:
+    """Periodic central differences (a_x, a_y) along the last two axes."""
     a = np.asarray(a)
-    i0, i1 = (0, a.shape[-2]) if rows is None else rows
-    pad = _pad_rows(a, i0, i1, pad)
-    ax, ay = out if out is not None else (np.empty_like(pad.views[0]) for _ in range(2))
-    return _grad_rows(pad, hx, hy, ax, ay)
+    pad = _pad_rows(a, 0, a.shape[-2])
+    return _grad_rows(_eager, pad, hx, hy, np.empty(a.shape, a.dtype), np.empty(a.shape, a.dtype))
 
 
 def _dot(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None,
-         tmp: np.ndarray | None = None) -> np.ndarray:
+         tmp: np.ndarray | None = None, call=_eager) -> np.ndarray:
     """Per-node <a, b> of component-major arrays, summed as (0 + 2) + 1: the
     order np.einsum("ijk,ijk->ij") takes over contiguous node-major arrays
     on numpy 2.4, so the bits match the node-major kernel
     (tests/test_stencil_reference.py compares them).  Written into `out`,
     with `tmp` for the products, when they are given."""
-    out = np.multiply(a[0], b[0], out=out)
-    tmp = np.multiply(a[2], b[2], out=tmp)
-    out += tmp
-    np.multiply(a[1], b[1], out=tmp)
-    out += tmp
+    out = call(np.multiply, a[0], b[0], out)
+    tmp = call(np.multiply, a[2], b[2], tmp)
+    call(np.add, out, tmp, out)
+    call(np.multiply, a[1], b[1], tmp)
+    call(np.add, out, tmp, out)
     return out
 
 
-def _stencil(a: np.ndarray, hx: float, hy: float, rows: tuple[int, int] | None = None,
-             out: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
-             pad: _Pad | None = None, tmp: np.ndarray | None = None
-             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Central differences and the 5-point Laplacian (a_x, a_y, lap a) along
-    the last two axes, at the x-rows i0 <= i < i1 of `a` (rows = (i0, i1),
-    all rows by default), read from one block-local periodic pad.
+def _stencil_rows(call, pad: _Pad, hx: float, hy: float, ax: np.ndarray, ay: np.ndarray,
+                  lap: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Central differences and the 5-point Laplacian (a_x, a_y, lap a) of the
+    rows held by `pad`, written into ax, ay and lap, three arrays shaped like
+    the rows.
 
     The arithmetic is that of _grad_rows and
     (xp + xm - 2a) * (1 / hx^2) + (yp + ym - 2a) * (1 / hy^2), operation for
-    operation, done in place in `out`, three arrays shaped like the rows;
-    the buffer of a_y holds 2a until a_y is computed, and a_x is computed
-    last, so its buffer may be `tmp`.  `pad` (a _Pad for the rows) and `tmp`
-    (shaped like the rows) are scratch.  Whatever is not given is
-    allocated, so the flow's hot path, which passes every buffer, allocates
-    nothing.
+    operation: ay holds 2a until a_y is computed, and ax holds the y-part of
+    the Laplacian until a_x, which is computed last.
     """
-    a = np.asarray(a)
-    i0, i1 = (0, a.shape[-2]) if rows is None else rows
-    pad = _pad_rows(a, i0, i1, pad)
     c, xp, xm, yp, ym = pad.views
-    ax, ay, lap = out if out is not None else (np.empty_like(c) for _ in range(3))
-    if tmp is None:
-        tmp = np.empty_like(c)
-    two_a = np.multiply(c, 2.0, out=ay)
-    np.add(xp, xm, out=lap)
-    lap -= two_a
-    lap *= 1.0 / (hx * hx)
-    lap_y = np.add(yp, ym, out=tmp)
-    _y_columns(np.add, pad, lap_y)
-    lap_y -= two_a
-    lap_y *= 1.0 / (hy * hy)
-    lap += lap_y
-    ax, ay = _grad_rows(pad, hx, hy, ax, ay)
-    return ax, ay, lap
+    two_a = call(np.multiply, c, 2.0, ay)
+    call(np.add, xp, xm, lap)
+    call(np.subtract, lap, two_a, lap)
+    call(np.multiply, lap, 1.0 / (hx * hx), lap)
+    lap_y = call(np.add, yp, ym, ax)
+    _y_columns(call, np.add, pad, lap_y)
+    call(np.subtract, lap_y, two_a, lap_y)
+    call(np.multiply, lap_y, 1.0 / (hy * hy), lap_y)
+    call(np.add, lap, lap_y, lap)
+    return _grad_rows(call, pad, hx, hy, ax, ay) + (lap,)
+
+
+def _stencil(a: np.ndarray, hx: float, hy: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Periodic central differences and the 5-point Laplacian (a_x, a_y,
+    lap a) along the last two axes, read from one padded copy of `a`."""
+    a = np.asarray(a)
+    pad = _pad_rows(a, 0, a.shape[-2])
+    return _stencil_rows(_eager, pad, hx, hy, *(np.empty(a.shape, a.dtype) for _ in range(3)))

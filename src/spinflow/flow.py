@@ -14,8 +14,9 @@ with c = 2 for the gradient flow and c = 1 for the Landau-Lifshitz flow
 budget, t = t0 + n dt.  Inside it the field is the bare (3, nx, ny) array
 of SphereField values, wrapped as a SphereField only where one leaves the
 loop.  The loop allocates one workspace per run and reuses its arrays at
-every step: the first step reads the initial values, and the later states
-alternate between two state buffers.
+every step: the initial values are copied into one of two padded state
+buffers, the first step records its array operations, every later step
+replays them, and the states alternate between the two buffers.
 """
 
 from __future__ import annotations
@@ -152,11 +153,11 @@ def _raise_blowup(velocity: np.ndarray, t: float, nstep: int):
 
 
 def _project_unit(w: np.ndarray, t: float, nstep: int,
-                  ws: _Workspace | None = None) -> np.ndarray:
-    """Normalise each node of the component-major w in place and return it,
-    with the norms in the per-node scratch planes of `ws` when it is given."""
-    d, tmp = (None, None) if ws is None else (ws.d, ws.tmp)
-    norms = np.sqrt(_dot(w, w, d, tmp), out=d)
+                  norms: np.ndarray | None = None) -> np.ndarray:
+    """Normalise each node of the component-major w in place and return it;
+    `norms` holds |w| per node when it is given."""
+    if norms is None:
+        norms = np.sqrt(_dot(w, w))
     if not (norms.min() > 0.0 and math.isfinite(norms.max())):   # NaN fails both
         ok = np.isfinite(norms) & (norms > 0.0)
         node = tuple(int(k) for k in np.argwhere(~ok)[0])
@@ -189,11 +190,12 @@ def _apply_step(u: np.ndarray, v: np.ndarray, v_sq: float, dt: float, grid: Grid
         return u
     if ws is None:
         ws = _Workspace(grid.shape)
+    plan, w = ws.step(u, incr, dt)
     with np.errstate(over="ignore", invalid="ignore"):
         # overflow here is the under-resolved blow-up signature; the
-        # projection guard below turns it into a structured error
-        w = np.multiply(incr, dt, out=ws.next_state(u))
-        return _project_unit(np.add(w, u, out=w), t, nstep, ws)
+        # projection guard turns it into a structured error
+        plan.run()
+        return _project_unit(w, t, nstep, ws.d)
 
 
 def _step_budget(t_end: float, dt: float) -> int:
@@ -221,8 +223,8 @@ def _steps(field: SphereField, coupling: Coupling, config: FlowConfig, dt: float
     check.  A BlowUpError carries the last valid state.
 
     The yielded arrays belong to the loop's workspace: v, F and |grad u|^2
-    are overwritten when the loop resumes, and u (after step 0, a state
-    buffer) by the step after next.  A caller that keeps one longer keeps a
+    are overwritten when the loop resumes, and u (after step 0, a view of a
+    padded state buffer) by the step after next.  A caller that keeps one longer keeps a
     copy.
     """
     grid = field.grid
@@ -294,12 +296,14 @@ def evolve(initial: SphereField, coupling: Coupling, config: FlowConfig, *,
         diagnostics._disc_window(grid, r)
     reason = "t_end"
     try:
-        for n, t, u, _, F, gsq, v_sq in _steps(initial, coupling, config, dt, budget,
+        for n, t, u, v, F, gsq, v_sq in _steps(initial, coupling, config, dt, budget,
                                                snapshot_sink=snapshot_sink):
             cadence = n % config.diagnostic_every == 0
             stationary = v_sq < tol * tol
             if cadence or stationary or n == budget:   # a terminal state closes the ledger
-                ps = float(np.sqrt(np.einsum("ijk,ijk->", F, F) * grid.cell_area))
+                # on the gradient flow F is v, so |F|_{L2} is the root of v_sq
+                ps = (math.sqrt(v_sq) if F is v else
+                      float(np.sqrt(np.einsum("ijk,ijk->", F, F) * grid.cell_area)))
                 row = diagnostics.measure_row(grid, coupling, gsq, t=t, v_norm_sq=v_sq,
                                               ps_norm=ps, radii=ledger.radii, crit=crit)
                 ledger.append(row)

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import Coupling, Grid, _dot, _grad_arrays, _Pad, _readonly, _stencil
+from .domain import (Coupling, Grid, _dot, _eager, _grad_arrays, _grad_rows, _Pad, _pad_rows,
+                     _Plan, _readonly, _stencil, _stencil_rows)
 from .field import SphereField
 
 
@@ -42,63 +43,86 @@ class TangentField:
         return float((inner / np.maximum(norms, 1e-300)).max(initial=0.0))
 
 
-def _project(w: np.ndarray, u: np.ndarray, d: np.ndarray | None = None,
-             tmp: np.ndarray | None = None) -> np.ndarray:
+def _project(call, w: np.ndarray, u: np.ndarray, d: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     """Tangential projection w - <w, u> u in place (assumes |u| = 1), with
-    <w, u> written into `d` and the products into `tmp` when they are given."""
-    d = _dot(w, u, d, tmp)
+    <w, u> written into `d` and the products into `tmp`."""
+    _dot(w, u, d, tmp, call)
     for k in range(3):
-        tmp = np.multiply(d, u[k], out=tmp)
-        w[k] -= tmp
+        call(np.multiply, d, u[k], tmp)
+        call(np.subtract, w[k], tmp, w[k])
     return w
 
 
-def _cross(a: np.ndarray, b: np.ndarray, out: np.ndarray,
-           tmp: np.ndarray | None = None) -> np.ndarray:
+def _cross(call, a: np.ndarray, b: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     """a x b of component-major arrays, written into `out`."""
     for k, i, j in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        np.multiply(a[i], b[j], out=out[k])
-        tmp = np.multiply(a[j], b[i], out=tmp)
-        out[k] -= tmp
+        call(np.multiply, a[i], b[j], out[k])
+        call(np.multiply, a[j], b[i], tmp)
+        call(np.subtract, out[k], tmp, out[k])
     return out
+
+
+def _tension_rows(call, pad: _Pad, u: np.ndarray, hx: float, hy: float, tau: np.ndarray,
+                  ux: np.ndarray, uy: np.ndarray, gsq: np.ndarray, d: np.ndarray,
+                  tmp: np.ndarray) -> np.ndarray:
+    """tau = lap u + |grad u|^2 u, tangentially projected, of the x-rows u
+    that `pad` holds, from one stencil evaluation, written into tau with
+    u_x, u_y and |grad u|^2 in ux, uy and gsq (ux is the stencil's scratch,
+    see _stencil_rows) and with d and tmp as per-node scratch planes."""
+    _stencil_rows(call, pad, hx, hy, ux, uy, tau)
+    _dot(ux, ux, gsq, tmp, call)
+    call(np.add, gsq, _dot(uy, uy, d, tmp, call), gsq)
+    for k in range(3):
+        call(np.multiply, gsq, u[k], tmp)
+        call(np.add, tau[k], tmp, tau[k])
+    return _project(call, tau, u, d, tmp)
 
 
 #: x-rows are processed in blocks of at most this many nodes, so that the
 #: planes one block touches stay near the 2 MiB L2 cache of a core: 64^2
-#: and 128^2 run as one block, 256^2 as four.  On a 2-core Xeon, the LL
-#: right-hand side at 128^2 took 1.13 ms in-process as one block against
-#: 1.22 ms in two; the perfbench workload observed-grad-256 took a median
-#: 7.01 s wall and 77.0 MB peak RSS in four blocks against 7.73 s and
-#: 81.8 MB as one (10 alternating pairs, four blocks faster in all ten).
+#: and 128^2 run as one block, 256^2 as four.  On a 2-core Xeon, in
+#: interleaved in-process rounds of the recorded step, the 128^2 LL step
+#: took a median 0.95 ms against 1.05 ms in blocks of 8,192 nodes and 1.40
+#: ms in 4,096, and the 256^2 gradient step 3.9 ms against 6.0 ms in 8,192
+#: and 5.2 ms in 32,768.
 BLOCK_NODES = 16_384
 
 
 def _row_blocks(shape: tuple[int, int], vectors: int) -> list[tuple]:
-    """(i0, i1, pad, *scratch) per block of x-rows i0 <= i < i1 of a (3, nx,
-    ny) array: the block's _Pad and `vectors` vector scratch arrays shaped
-    like its rows, all views of buffers sized for the largest block."""
+    """(i0, i1, *scratch) per block of x-rows i0 <= i < i1 of a (3, nx, ny)
+    array: `vectors` vector scratch arrays shaped like the block's rows,
+    views of buffers sized for the largest block."""
     nx, ny = shape
     rows = max(1, min(nx, BLOCK_NODES // ny))
-    pad = np.empty(3 * (rows + 2) * ny)
     scratch = np.empty((vectors, 3 * rows * ny))
     blocks = []
     for i0 in range(0, nx, rows):
         i1 = min(i0 + rows, nx)
-        blocks.append((i0, i1, _Pad((3,), i1 - i0, ny, pad),
-                       *(a[:3 * (i1 - i0) * ny].reshape(3, i1 - i0, ny) for a in scratch)))
+        blocks.append((i0, i1, *(a[:3 * (i1 - i0) * ny].reshape(3, i1 - i0, ny) for a in scratch)))
     return blocks
 
 
 class _Workspace:
-    """Every array one evaluation of the flow right-hand side and one step
-    write, allocated once for a (nx, ny) grid: the outputs v, F and
-    |grad u|^2, two per-node scratch planes d and tmp, two state buffers for
-    the stepping loop, and the vector scratch of one block of x-rows.
+    """Every array that one evaluation of the flow right-hand side and one
+    Euler step write, allocated once for a (nx, ny) grid, and the calls that
+    write them, recorded as _Plans by the kernel functions of the eager
+    operators.
 
-    `blocks` lists (i0, i1, pad, u_y, tmp3) per block of x-rows
-    i0 <= i < i1 (see _row_blocks).  Whoever holds the workspace owns these
-    arrays: the next evaluation overwrites v, F, |grad u|^2 and the scratch,
-    and each step the other state buffer.
+    The arrays are v, F and |grad u|^2, two per-node scratch planes d and
+    tmp, and `blocks`, (i0, i1, u_y scratch) per block of x-rows
+    i0 <= i < i1.  `states` are two (3, nx, ny) views of padded buffers that
+    store each plane flat between two halo x-rows, as a _Pad does, so the
+    stencil reads its neighbours from the state itself.  Per state buffer
+    the workspace records one right-hand-side plan, which refreshes the
+    halo rows and writes v (for both flows also the stencil's scratch), F
+    and |grad u|^2 block by block, and one Euler plan, which writes the
+    other state buffer and its norms into d.  Plans are recorded at their
+    first use and again for another spacing, coupling or flow kind, or
+    another increment or dt.
+
+    Whoever holds the workspace owns these arrays: the next evaluation
+    overwrites v, F, |grad u|^2 and the scratch, and each step the other
+    state buffer.
     """
 
     def __init__(self, shape: tuple[int, int]):
@@ -107,15 +131,66 @@ class _Workspace:
         self.v = np.empty((3, nx, ny))
         self.F = np.empty((3, nx, ny))
         self.gsq, self.d, self.tmp = np.empty((3, nx, ny))
-        self.blocks = _row_blocks(self.shape, 2)     # u_y and the stencil's tmp
-        self._states = None
+        self.blocks = _row_blocks(self.shape, 1)
+        self._pads = np.empty((2, 3, (nx + 2) * ny))
+        self.states = tuple(p.reshape(3, nx + 2, ny)[:, 1:-1] for p in self._pads)
+        self._rhs_key = self._step_key = (None,)
 
-    def next_state(self, u: np.ndarray) -> np.ndarray:
-        """The state buffer that does not hold u; both are made at the first call."""
-        if self._states is None:
-            self._states = (np.empty((3,) + self.shape), np.empty((3,) + self.shape))
-        a, b = self._states
-        return b if u is a else a
+    def _index(self, u: np.ndarray) -> int:
+        """The index of the state buffer that holds u; a u that is no state
+        buffer is copied into the first one."""
+        if u is self.states[1]:
+            return 1
+        if u is not self.states[0]:
+            np.copyto(self.states[0], u)
+        return 0
+
+    def rhs(self, u: np.ndarray, hx: float, hy: float, coupling: Coupling, kind: str) -> _Plan:
+        """The right-hand-side plan of the state buffer that holds u."""
+        i = self._index(u)
+        if not (self._rhs_key[0] is coupling and self._rhs_key[1:] == (hx, hy, kind)):
+            self._rhs_key = (coupling, hx, hy, kind)
+            self._rhs = [self._record_rhs(k, hx, hy, coupling, kind) for k in (0, 1)]
+        return self._rhs[i]
+
+    def _record_rhs(self, i: int, hx: float, hy: float, coupling: Coupling, kind: str) -> _Plan:
+        nx, ny = self.shape
+        plan, pad, u = _Plan(), self._pads[i], self.states[i]
+        rows = pad.reshape(3, nx + 2, ny)
+        plan(np.copyto, rows[:, 0], rows[:, nx])       # the halo rows: x-rows nx - 1 and 0
+        plan(np.copyto, rows[:, nx + 1], rows[:, 1])
+        for i0, i1, uy in self.blocks:
+            ub, F, ux = u[:, i0:i1], self.F[:, i0:i1], self.v[:, i0:i1]
+            d, tmp = self.d[i0:i1], self.tmp[i0:i1]
+            _tension_rows(plan, _Pad(pad[:, i0 * ny:(i1 + 2) * ny], ny), ub, hx, hy,
+                          F, ux, uy, self.gsq[i0:i1], d, tmp)
+            plan(np.multiply, F, coupling.values[i0:i1], F)
+            plan(np.multiply, ux, coupling.grad_x[i0:i1], ux)
+            plan(np.add, F, ux, F)
+            plan(np.multiply, uy, coupling.grad_y[i0:i1], uy)
+            plan(np.add, F, uy, F)
+            _project(plan, F, ub, d, tmp)
+            if kind != "gradient":
+                # the block's LL velocity goes where u_x was
+                _cross(plan, ub, F, ux, tmp)
+                plan(np.add, ux, F, ux)
+        return plan
+
+    def step(self, u: np.ndarray, incr: np.ndarray, dt: float) -> tuple[_Plan, np.ndarray]:
+        """(plan, w) for the Euler step from the state buffer that holds u:
+        the plan writes w = u + dt incr into the other state buffer, w, and
+        |w| per node into d."""
+        i = self._index(u)
+        if not (self._step_key[0] is incr and self._step_key[1:] == (dt,)):
+            self._step_key = (incr, dt)
+            self._step = []
+            for s, w in zip(self.states, self.states[::-1]):
+                plan = _Plan()
+                plan(np.multiply, incr, dt, w)
+                plan(np.add, w, s, w)
+                plan(np.sqrt, _dot(w, w, self.d, self.tmp, plan), self.d)
+                self._step.append(plan)
+        return self._step[i], self.states[1 - i]
 
 
 def grad(field: SphereField) -> tuple[np.ndarray, np.ndarray]:
@@ -129,9 +204,11 @@ def grad_squared(field: SphereField) -> np.ndarray:
     u, g = field.values, field.grid
     gsq = np.empty(g.shape)
     blocks = _row_blocks(g.shape, 2)
-    d, tmp = np.empty((2, blocks[0][1], g.ny))     # planes for the first, largest block
-    for i0, i1, pad, ux, uy in blocks:
-        ux, uy = _grad_arrays(u, g.hx, g.hy, (i0, i1), (ux, uy), pad)
+    rows = blocks[0][1]                             # the first block is the largest
+    pad = np.empty(3 * (rows + 2) * g.ny)
+    d, tmp = np.empty((2, rows, g.ny))
+    for i0, i1, ux, uy in blocks:
+        _grad_rows(_eager, _pad_rows(u, i0, i1, pad), g.hx, g.hy, ux, uy)
         b = i1 - i0
         _dot(ux, ux, gsq[i0:i1], tmp[:b])
         gsq[i0:i1] += _dot(uy, uy, d[:b], tmp[:b])
@@ -143,31 +220,6 @@ def laplacian(field: SphereField) -> np.ndarray:
     return _stencil(field.values, field.grid.hx, field.grid.hy)[2]
 
 
-def _tension_arrays(u: np.ndarray, hx: float, hy: float,
-                    rows: tuple[int, int] | None = None,
-                    out: tuple[np.ndarray, ...] | None = None,
-                    scratch: tuple | None = None):
-    """(tau, u_x, u_y, |grad u|^2) of a component-major u at its x-rows
-    i0 <= i < i1 (rows = (i0, i1), all rows by default) from one stencil
-    evaluation, tau = lap u + |grad u|^2 u tangentially projected.
-
-    The results are written into `out`, four arrays shaped like those rows
-    in the order returned; `scratch` = (pad, tmp3, d, tmp) is the stencil's
-    pad and vector scratch (see _stencil: u_x may be tmp3) and two per-node
-    planes.  Without them the arrays are allocated.
-    """
-    ub = u if rows is None else u[:, rows[0]:rows[1]]
-    tau, ux, uy, gsq = out or (None,) * 4
-    pad, tmp3, d, tmp = scratch or (None,) * 4
-    ux, uy, tau = _stencil(u, hx, hy, rows, out and (ux, uy, tau), pad, tmp3)
-    gsq = _dot(ux, ux, gsq, tmp)
-    gsq += _dot(uy, uy, d, tmp)
-    for k in range(3):
-        tmp = np.multiply(gsq, ub[k], out=tmp)
-        tau[k] += tmp
-    return _project(tau, ub, d, tmp), ux, uy, gsq
-
-
 def _rhs_arrays(u: np.ndarray, hx: float, hy: float, coupling: Coupling, kind: str,
                 ws: _Workspace | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Shared core: flow velocity v, defect F = f*tau + grad f . grad u, and
@@ -177,36 +229,19 @@ def _rhs_arrays(u: np.ndarray, hx: float, hy: float, coupling: Coupling, kind: s
     and any other kind gives the LL velocity; for the gradient flow v is F.
 
     The results are the arrays of the workspace `ws` (a one-shot one when
-    none is given), computed block by block of x-rows in the block's scratch
-    and in the result arrays themselves; with a workspace nothing is
-    allocated.  Overflow and invalid operations are not reported: a
-    non-finite velocity is the blow-up signature the caller scans for.
+    none is given), written by replaying its right-hand-side plan for u;
+    once a workspace has recorded it, nothing is allocated.  Overflow and
+    invalid operations are not reported: a non-finite velocity is the
+    blow-up signature the caller scans for.
     """
     if ws is None:
         ws = _Workspace(u.shape[1:])
-    v, F, gsq = ws.v, ws.F, ws.gsq
+    plan = ws.rhs(u, hx, hy, coupling, kind)
     with np.errstate(over="ignore", invalid="ignore"):
-        for i0, i1, pad, uy, tmp3 in ws.blocks:
-            ub, d, tmp = u[:, i0:i1], ws.d[i0:i1], ws.tmp[i0:i1]
-            # u_x goes where the block's LL velocity is written last; the
-            # gradient flow's v is F, so its u_x takes the stencil's scratch
-            # and v is never touched
-            ux = tmp3 if kind == "gradient" else v[:, i0:i1]
-            Fb, ux, uy, _ = _tension_arrays(u, hx, hy, (i0, i1),
-                                            (F[:, i0:i1], ux, uy, gsq[i0:i1]),
-                                            (pad, tmp3, d, tmp))
-            Fb *= coupling.values[i0:i1]
-            ux *= coupling.grad_x[i0:i1]
-            Fb += ux
-            uy *= coupling.grad_y[i0:i1]
-            Fb += uy
-            _project(Fb, ub, d, tmp)
-            if kind != "gradient":
-                _cross(ub, Fb, out=ux, tmp=tmp)
-                ux += Fb
+        plan.run()
     if kind == "gradient":
-        return F, F, gsq
-    return v, F, gsq
+        return ws.F, ws.F, ws.gsq
+    return ws.v, ws.F, ws.gsq
 
 
 def tension(field: SphereField) -> TangentField:
@@ -215,8 +250,11 @@ def tension(field: SphereField) -> TangentField:
     The continuum tension is automatically tangent; the discrete one is not,
     so the normal component is removed to keep downstream identities exact.
     """
-    g = field.grid
-    return TangentField(g, _tension_arrays(field.values, g.hx, g.hy)[0])
+    g, u = field.grid, field.values
+    tau, ux, uy = (np.empty(u.shape) for _ in range(3))
+    gsq, d, tmp = np.empty((3,) + g.shape)
+    _tension_rows(_eager, _pad_rows(u, 0, g.nx), u, g.hx, g.hy, tau, ux, uy, gsq, d, tmp)
+    return TangentField(g, tau)
 
 
 def ps_residual(field: SphereField, coupling: Coupling) -> TangentField:

@@ -353,3 +353,15 @@ def test_readme_configuration_table_names_every_key():
         if row.startswith("| `"):
             keys.update(re.findall(r"`([a-z]+\.[a-z_]+)`", row.split("|")[1]))
     assert keys == set(_SCHEMA)
+
+
+@pytest.mark.parametrize("key, value, choices", [
+    ("flow.integrator", "rk2", "('euler', 'rk4')"),
+    ("flow.kind", "foo", "('gradient', 'landau_lifshitz')"),
+])
+def test_flow_choice_error_names_line_key_and_value(key, value, choices):
+    assignments = dict(BASE, **{key: value})
+    lineno = list(assignments).index(key) + 1
+    with pytest.raises(ConfigError, match=rf"^line {lineno}: {re.escape(key)}: must be one of "
+                                          rf"{re.escape(choices)}, got '{value}'$"):
+        parse_config(_render(assignments))

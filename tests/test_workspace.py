@@ -194,3 +194,85 @@ def test_energy_density_builds_no_full_grid_gradient():
     finally:
         tracemalloc.stop()
     assert peak < 2 * u.values.nbytes
+
+
+def test_relax_steps_allocate_no_state_sized_array(monkeypatch):
+    # the great circle's defect falls at every step, so relax never copies a
+    # best iterate; steps 2..N replay the calls recorded at the first one
+    g = sf.make_grid(64, 64, 1.0, 1.0)
+    c = cosine_coupling(g)
+    u0 = sf.great_circle_field(g, phase=0.3)
+    apply_step = flow_module._apply_step
+    seen = []
+
+    def measured(*args):
+        seen.append(tracemalloc.get_traced_memory()[0])
+        if len(seen) == 2:
+            tracemalloc.reset_peak()
+        out = apply_step(*args)
+        if len(seen) == 12:
+            seen.append(tracemalloc.get_traced_memory()[1])
+        return out
+
+    monkeypatch.setattr(flow_module, "_apply_step", measured)
+    tracemalloc.start()
+    try:
+        res = sf.relax(u0, c, tol=1e-30, max_steps=12)
+    finally:
+        tracemalloc.stop()
+    assert len(seen) == 13 and res.steps == 12
+    assert np.all(np.diff(res.history) < 0)
+    # the peak over steps 2..N; each ufunc call with a broadcast operand
+    # (f times F, 2.0 times a padded u) takes numpy's 64 KiB iterator
+    # buffer, 2/3 of a 64^2 state, so the bound is one state, not a quarter
+    assert seen[-1] - seen[1] < u0.values.nbytes
+
+
+# the smallest grid, one block, and a grid whose second block is one x-row
+EDGE_GRIDS = [((8, 8, 1.0, 1.0), [(0, 8)]), ((9, 2048, 1.0, 1.0), [(0, 8), (8, 9)])]
+
+
+@pytest.mark.parametrize("kind", ["gradient", "landau_lifshitz"])
+@pytest.mark.parametrize("spec, blocks", EDGE_GRIDS, ids=["8x8", "9x2048"])
+def test_recorded_step_matches_the_reference_kernel_on_edge_grids(spec, blocks, kind):
+    g = sf.make_grid(*spec)
+    c = cosine_coupling(g)
+    u0 = sf.perturb(blob_field(g), 0.3, 5)
+    ws = _Workspace(g.shape)
+    assert [(i0, i1) for i0, i1, *_ in ws.blocks] == blocks
+    ref = ref_rhs_arrays(node_major(u0.values), g.hx, g.hy, c, kind)
+    for got, want in zip(_rhs_arrays(u0.values, g.hx, g.hy, c, kind, ws), ref):
+        assert np.array_equal(got, want if want.ndim == 2 else component_major(want))
+    cfg = fixed(g, c, 5, flow_kind=kind)
+    out = sf.evolve(u0, c, cfg)
+    assert out.state.step == 5
+    want = ref_euler(node_major(u0.values), c, cfg.dt, kind, 5)[0]
+    assert np.array_equal(out.state.field.values, component_major(want))
+    assert out.state.field.values.flags.c_contiguous
+
+
+def test_a_reused_workspace_matches_a_fresh_one():
+    # each change of grid spacing, coupling, flow kind or dt records the
+    # calls again, also back to ones recorded before
+    g = sf.make_grid(*UNEVEN)
+    g2 = sf.make_grid(UNEVEN[0], UNEVEN[1], 2.0, 0.5)
+    u = sf.perturb(blob_field(g), 0.3, 5).values
+    ws = _Workspace(g.shape)
+    cases = [(g, cosine_coupling(g), "landau_lifshitz", 1e-6),
+             (g, cosine_coupling(g, ax=0.4), "landau_lifshitz", 1e-6),
+             (g, cosine_coupling(g, ax=0.4), "gradient", 1e-6),
+             (g2, cosine_coupling(g2), "gradient", 1e-6),
+             (g2, cosine_coupling(g2), "gradient", 2e-6)]
+    for grid, c, kind, dt in cases + cases[:1]:
+        cfg = sf.FlowConfig(flow_kind=kind, dt_policy="fixed", dt=dt)
+        fresh = _Workspace(g.shape)
+        want = _rhs_arrays(u, grid.hx, grid.hy, c, kind, fresh)
+        got = _rhs_arrays(u, grid.hx, grid.hy, c, kind, ws)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+        want = flow_module._apply_step(u, want[0], 1.0, dt, grid, c, cfg, 0.0, 0, fresh)
+        got = flow_module._apply_step(u, got[0], 1.0, dt, grid, c, cfg, 0.0, 0, ws)
+        assert np.array_equal(got, want)
+        # and from the state buffer the step wrote
+        want = _rhs_arrays(want, grid.hx, grid.hy, c, kind, fresh)[0]
+        assert np.array_equal(_rhs_arrays(got, grid.hx, grid.hy, c, kind, ws)[0], want)
