@@ -16,7 +16,7 @@ import numpy as np
 from . import diagnostics
 from .domain import _KIND_ALIASES, Coupling, Grid, make_coupling, make_grid
 from .field import SphereField, bubble_field, constant_field, great_circle_field, perturb
-from .flow import _FLOW_KIND_ALIASES, FLOW_KINDS, INTEGRATORS, FlowConfig, _step_budget, resolve_dt
+from .flow import _FLOW_KIND_ALIASES, FLOW_KINDS, FlowConfig, _step_budget, resolve_dt
 from .relax import DEFAULT_SAFETY
 
 REQUIRED_SECTIONS = ("grid", "coupling", "initial", "flow")
@@ -91,7 +91,6 @@ _SCHEMA = {
     "flow.t_end": (_parse_float, _REQUIRED),
     "flow.snapshot_every": (_parse_int, 0),
     "flow.diagnostic_every": (_parse_int, 1),
-    "flow.integrator": (str, "euler"),
     "flow.stationarity_tol": (_parse_float, None),
     "diagnostics.radii": (_parse_float_list, None),
     "diagnostics.eps_conc": (_parse_float, None),
@@ -123,7 +122,6 @@ _KIND_KEYS = {
     },
     "flow.dt_policy": {"cfl": ("safety",), "fixed": ("dt",)},
     "flow.kind": dict.fromkeys(FLOW_KINDS, ()),
-    "flow.integrator": dict.fromkeys(INTEGRATORS, ()),
 }
 _ALIASES = {"coupling.kind": _KIND_ALIASES, "flow.kind": _FLOW_KIND_ALIASES}
 
@@ -276,7 +274,10 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
                           **{key[len("flow."):]: value for key, value in values.items()
                              if key.startswith("flow.") and key != "flow.kind"})
     except ValueError as err:
-        raise ConfigError(f"flow: {err}")
+        # a FlowConfig error starts with the name of its field; a bad
+        # selector (flow.kind, flow.dt_policy) was reported above
+        name, _, message = str(err).partition(" ")
+        fail(f"flow.{name}", message)
     try:
         # a CFL step that underflows to 0 (a huge max f) would never reach t_end
         _step_budget(flow.t_end, resolve_dt(grid, coupling, flow))

@@ -1,9 +1,8 @@
 """Time integration of the weighted flows with sphere-constraint projection.
 
-Explicit stepping (forward Euler by default, classical Runge-Kutta as a
-variant) followed by nodewise renormalization.  The time step either is fixed
-or follows the explicit-diffusion stability bound for the dominant diffusion
-term, dt = safety * min(hx, hy)^2 / (4 max f).
+Explicit forward Euler stepping followed by nodewise renormalization.  The
+time step either is fixed or follows the explicit-diffusion stability bound
+for the dominant diffusion term, dt = safety * min(hx, hy)^2 / (4 max f).
 
 Along both flows the weighted energy E = sum f |grad u|^2 dA dissipates; the
 discrete dissipation identity  E(t1) - E(t2) ~ c * int |du/dt|^2 dt  holds
@@ -32,7 +31,6 @@ from .field import SphereField
 from .operators import TangentField, _rhs_arrays, _Workspace
 
 DT_POLICIES = ("fixed", "cfl")
-INTEGRATORS = ("euler", "rk4")
 
 #: default stationarity threshold is this factor times the domain area
 STATIONARITY_FACTOR = 1e-8
@@ -73,10 +71,10 @@ class FlowConfig:
     t_end: float = 0.0
     snapshot_every: int = 0                 # 0 disables snapshots
     diagnostic_every: int = 1
-    integrator: str = "euler"
     stationarity_tol: float | None = None   # None: STATIONARITY_FACTOR * area
 
     def __post_init__(self):
+        # every error starts with its field's name: config reports it under that key
         kind = _FLOW_KIND_ALIASES.get(self.flow_kind)
         if kind is None:
             raise ValueError(f"flow_kind must be one of {FLOW_KINDS}, got {self.flow_kind!r}")
@@ -85,17 +83,17 @@ class FlowConfig:
             raise ValueError(f"dt_policy must be one of {DT_POLICIES}, got {self.dt_policy!r}")
         if self.dt_policy == "fixed":
             if self.dt is None or not self.dt > 0:
-                raise ValueError(f"fixed dt policy requires dt > 0, got {self.dt}")
+                raise ValueError(f"dt must be > 0 with dt_policy fixed, got {self.dt}")
         elif self.safety is None or not 0.0 < self.safety <= 1.0:
-            raise ValueError(f"cfl safety must lie in (0, 1], got {self.safety}")
+            raise ValueError(f"safety must lie in (0, 1], got {self.safety}")
         if self.t_end < 0:
             raise ValueError(f"t_end must be >= 0, got {self.t_end}")
-        if self.snapshot_every < 0 or self.diagnostic_every < 1:
-            raise ValueError("snapshot_every must be >= 0 and diagnostic_every >= 1")
-        if self.integrator not in INTEGRATORS:
-            raise ValueError(f"integrator must be one of {INTEGRATORS}")
+        if self.snapshot_every < 0:
+            raise ValueError(f"snapshot_every must be >= 0, got {self.snapshot_every}")
+        if self.diagnostic_every < 1:
+            raise ValueError(f"diagnostic_every must be >= 1, got {self.diagnostic_every}")
         if self.stationarity_tol is not None and self.stationarity_tol < 0:
-            raise ValueError("stationarity_tol must be >= 0")
+            raise ValueError(f"stationarity_tol must be >= 0, got {self.stationarity_tol}")
 
 
 @dataclass(frozen=True)
@@ -168,29 +166,19 @@ def _project_unit(w: np.ndarray, t: float, nstep: int,
     return w
 
 
-def _apply_step(u: np.ndarray, v: np.ndarray, v_sq: float, dt: float, grid: Grid,
-                coupling: Coupling, config: FlowConfig, t: float, nstep: int,
+def _apply_step(u: np.ndarray, v: np.ndarray, v_sq: float, dt: float, t: float, nstep: int,
                 ws: _Workspace | None = None) -> np.ndarray:
-    """Apply one accepted step from the start velocity v, with v_sq = int |v|^2,
-    and return the new state: u itself at an exact stationary point, else
-    the state buffer of `ws` that does not hold u (of a one-shot workspace
-    when none is given), so u stays the last valid state if this fails."""
-    if config.integrator == "euler":
-        incr = v
-    else:
-        k2, _, _ = _rhs_arrays(u + (0.5 * dt) * v, grid.hx, grid.hy, coupling, config.flow_kind)
-        k3, _, _ = _rhs_arrays(u + (0.5 * dt) * k2, grid.hx, grid.hy, coupling, config.flow_kind)
-        k4, _, _ = _rhs_arrays(u + dt * k3, grid.hx, grid.hy, coupling, config.flow_kind)
-        incr = (v + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-        if not np.all(np.isfinite(incr)):
-            _raise_blowup(incr, t, nstep)
-    # v_sq > 0 already shows that v, the Euler increment, is not zero
-    if not (incr is v and v_sq > 0) and not incr.any():
+    """Apply one Euler step u + dt v, with v_sq = int |v|^2, and return the
+    new state: u itself at an exact stationary point, else the state buffer
+    of `ws` that does not hold u (of a one-shot workspace when none is
+    given), so u stays the last valid state if this fails."""
+    # v_sq > 0 already shows that v is not zero
+    if not v_sq > 0 and not v.any():
         # exact stationary point: keep the state bitwise unchanged
         return u
     if ws is None:
-        ws = _Workspace(grid.shape)
-    plan, w = ws.step(u, incr, dt)
+        ws = _Workspace(u.shape[1:])
+    plan, w = ws.step(u, v, dt)
     with np.errstate(over="ignore", invalid="ignore"):
         # overflow here is the under-resolved blow-up signature; the
         # projection guard turns it into a structured error
@@ -243,7 +231,7 @@ def _steps(field: SphereField, coupling: Coupling, config: FlowConfig, dt: float
                 _raise_blowup(v, t, n0 + n)
             yield n, t, u, v, F, gsq, v_sq
             if n < budget:
-                u = _apply_step(u, v, v_sq, dt, grid, coupling, config, t, n0 + n, ws)
+                u = _apply_step(u, v, v_sq, dt, t, n0 + n, ws)
         except BlowUpError as err:
             err.state = FlowState(_sphere_field(field, u), t=t, step=n0 + n)
             raise
@@ -261,7 +249,7 @@ def step(state: FlowState, coupling: Coupling, config: FlowConfig) -> FlowState:
     try:
         _, t, u, v, _, _, v_sq = next(_steps(state.field, coupling, config, dt, 1,
                                           t0=state.t, n0=state.step))
-        u_new = _apply_step(u, v, v_sq, dt, grid, coupling, config, t, state.step)
+        u_new = _apply_step(u, v, v_sq, dt, t, state.step)
     except BlowUpError as err:
         err.state = state
         raise

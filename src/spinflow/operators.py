@@ -115,10 +115,10 @@ class _Workspace:
     stencil reads its neighbours from the state itself.  Per state buffer
     the workspace records one right-hand-side plan, which refreshes the
     halo rows and writes v (for both flows also the stencil's scratch), F
-    and |grad u|^2 block by block, and one Euler plan, which writes the
-    other state buffer and its norms into d.  Plans are recorded at their
-    first use and again for another spacing, coupling or flow kind, or
-    another increment or dt.
+    and |grad u|^2 block by block, and one Euler plan, which writes u + dt v
+    for the velocity v into the other state buffer and its norms into d.
+    Plans are recorded at their first use and again for another spacing,
+    coupling or flow kind, or another velocity array or dt.
 
     Whoever holds the workspace owns these arrays: the next evaluation
     overwrites v, F, |grad u|^2 and the scratch, and each step the other
@@ -176,17 +176,17 @@ class _Workspace:
                 plan(np.add, ux, F, ux)
         return plan
 
-    def step(self, u: np.ndarray, incr: np.ndarray, dt: float) -> tuple[_Plan, np.ndarray]:
-        """(plan, w) for the Euler step from the state buffer that holds u:
-        the plan writes w = u + dt incr into the other state buffer, w, and
-        |w| per node into d."""
+    def step(self, u: np.ndarray, v: np.ndarray, dt: float) -> tuple[_Plan, np.ndarray]:
+        """(plan, w) for the Euler step from the state buffer that holds u
+        with the velocity v: the plan writes w = u + dt v into the other
+        state buffer, w, and |w| per node into d."""
         i = self._index(u)
-        if not (self._step_key[0] is incr and self._step_key[1:] == (dt,)):
-            self._step_key = (incr, dt)
+        if not (self._step_key[0] is v and self._step_key[1:] == (dt,)):
+            self._step_key = (v, dt)
             self._step = []
             for s, w in zip(self.states, self.states[::-1]):
                 plan = _Plan()
-                plan(np.multiply, incr, dt, w)
+                plan(np.multiply, v, dt, w)
                 plan(np.add, w, s, w)
                 plan(np.sqrt, _dot(w, w, self.d, self.tmp, plan), self.d)
                 self._step.append(plan)
@@ -224,9 +224,9 @@ def _rhs_arrays(u: np.ndarray, hx: float, hy: float, coupling: Coupling, kind: s
                 ws: _Workspace | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Shared core: flow velocity v, defect F = f*tau + grad f . grad u, and
     |grad u|^2, all from one stencil evaluation, for a component-major
-    (3, nx, ny) u.  `u` need not be exactly unit-norm (intermediate
-    Runge-Kutta stages are not).  `kind` is canonical: FlowConfig checks it,
-    and any other kind gives the LL velocity; for the gradient flow v is F.
+    (3, nx, ny) u, which need not be exactly unit-norm.  `kind` is
+    canonical: FlowConfig checks it, and any other kind gives the LL
+    velocity; for the gradient flow v is F.
 
     The results are the arrays of the workspace `ws` (a one-shot one when
     none is given), written by replaying its right-hand-side plan for u;

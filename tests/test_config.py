@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spinflow.config import _SCHEMA, ConfigError, parse_config
+from spinflow.config import _ALIASES, _KIND_KEYS, _SCHEMA, ConfigError, parse_config
 
 MINIMAL = """\
 # minimal no-op run
@@ -345,18 +345,31 @@ class TestNonFinite:
             parse_config(text)
 
 
-def test_readme_configuration_table_names_every_key():
+def _readme_configuration_rows():
+    """The (Key, Meaning) cells of each row of the README configuration table."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     section = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    return [row.split("|")[1:3] for row in section.splitlines() if row.startswith("| `")]
+
+
+def test_readme_configuration_table_names_every_key():
     keys = set()
-    for row in section.splitlines():
-        if row.startswith("| `"):
-            keys.update(re.findall(r"`([a-z]+\.[a-z_]+)`", row.split("|")[1]))
+    for key_cell, _ in _readme_configuration_rows():
+        keys.update(re.findall(r"`([a-z]+\.[a-z_]+)`", key_cell))
     assert keys == set(_SCHEMA)
 
 
+def test_readme_configuration_table_names_every_choice():
+    # the backticked values without a dot in a selector's Meaning column are
+    # its kinds and their aliases
+    meanings = {key.strip(" `"): meaning for key, meaning in _readme_configuration_rows()}
+    for selector, kinds in _KIND_KEYS.items():
+        aliases = _ALIASES.get(selector, {})
+        values = [v for v in re.findall(r"`([^`]+)`", meanings[selector]) if "." not in v]
+        assert {aliases.get(v, v) for v in values} == set(kinds), selector
+
+
 @pytest.mark.parametrize("key, value, choices", [
-    ("flow.integrator", "rk2", "('euler', 'rk4')"),
     ("flow.kind", "foo", "('gradient', 'landau_lifshitz')"),
 ])
 def test_flow_choice_error_names_line_key_and_value(key, value, choices):
@@ -364,4 +377,33 @@ def test_flow_choice_error_names_line_key_and_value(key, value, choices):
     lineno = list(assignments).index(key) + 1
     with pytest.raises(ConfigError, match=rf"^line {lineno}: {re.escape(key)}: must be one of "
                                           rf"{re.escape(choices)}, got '{value}'$"):
+        parse_config(_render(assignments))
+
+
+def test_removed_integrator_key_is_unknown():
+    # forward Euler is the only integrator, so the key that chose one is gone
+    assignments = dict(BASE, **{"flow.integrator": "euler"})
+    with pytest.raises(ConfigError, match=rf"^line {len(assignments)}: "
+                                          r"unknown key 'flow.integrator'$"):
+        parse_config(_render(assignments))
+
+
+#: (key, value, the value as the error shows it, other keys the case sets)
+FLOW_RANGE = [
+    ("flow.safety", "2", "2.0", {}),
+    ("flow.dt", "0", "0.0", {"flow.dt_policy": "fixed"}),
+    ("flow.t_end", "-1", "-1.0", {}),
+    ("flow.snapshot_every", "-1", "-1", {}),
+    ("flow.diagnostic_every", "0", "0", {}),
+    ("flow.stationarity_tol", "-1e-3", "-0.001", {}),
+]
+
+
+@pytest.mark.parametrize("key, value, shown, extra", FLOW_RANGE,
+                         ids=[f"{k}={v}" for k, v, _, _ in FLOW_RANGE])
+def test_flow_range_error_names_line_key_and_value(key, value, shown, extra):
+    assignments = dict(BASE, **extra, **{key: value})
+    lineno = list(assignments).index(key) + 1
+    with pytest.raises(ConfigError, match=rf"^line {lineno}: {re.escape(key)}: must [^:]*, "
+                                          rf"got {re.escape(shown)}$"):
         parse_config(_render(assignments))

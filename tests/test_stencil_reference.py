@@ -109,7 +109,8 @@ class TestReferenceKernel:
 
     @pytest.mark.parametrize("kind", ["gradient", "landau_lifshitz"])
     def test_rhs_bit_identical_off_the_sphere(self, setup, kind):
-        # an RK4 stage u + dt/2 k1 is not unit-norm
+        # _rhs_arrays accepts input off the sphere: here a half Euler step
+        # u + dt/2 k1 before its projection
         g, c, u = setup
         dt = 0.5 * sf.cfl_dt(g, c, 0.5)
         k1 = ref_rhs_arrays(node_major(u.values), g.hx, g.hy, c, kind)[0]
