@@ -228,7 +228,9 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
         grid = make_grid(values["grid.nx"], values["grid.ny"],
                          values["grid.lx"], values["grid.ly"])
     except ValueError as err:
-        raise ConfigError(f"grid: {err}")
+        # a Grid error starts with the name of its field
+        name, _, message = str(err).partition(" ")
+        fail(f"grid.{name}", message)
 
     # coupling
     kind = values["coupling.kind"]
@@ -263,9 +265,9 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
         if not 0 < scale < lmin / 4:
             fail("initial.scale", f"must lie in (0, {lmin / 4}), got {scale}")
     if values["initial.amplitude"] < 0:
-        fail("initial.amplitude", "must be >= 0")
+        fail("initial.amplitude", f"must be >= 0, got {values['initial.amplitude']}")
     if values["initial.axis"] not in ("x", "y"):
-        fail("initial.axis", "must be 'x' or 'y'")
+        fail("initial.axis", f"must be 'x' or 'y', got {values['initial.axis']!r}")
 
     # flow
     try:
@@ -300,16 +302,17 @@ def parse_config(text: str, base_dir: str = ".") -> RunConfig:
     if eps_conc is None:
         eps_conc = diagnostics.DEFAULT_EPS_CONC_FRACTION * diagnostics.BUBBLE_ENERGY
     elif eps_conc <= 0:
-        fail("diagnostics.eps_conc", "must be positive")
+        fail("diagnostics.eps_conc", f"must be positive, got {eps_conc}")
 
     if not values["relax.tol"] > 0:
-        fail("relax.tol", "must be positive")
+        fail("relax.tol", f"must be positive, got {values['relax.tol']}")
     if values["relax.max_steps"] < 0:
-        fail("relax.max_steps", "must be >= 0")
+        fail("relax.max_steps", f"must be >= 0, got {values['relax.max_steps']}")
     if not 0 < values["relax.safety"] <= 1:
-        fail("relax.safety", "must lie in (0, 1]")
+        fail("relax.safety", f"must lie in (0, 1], got {values['relax.safety']}")
     if not 0 < values["experiment.collapse_fraction"] < 1:
-        fail("experiment.collapse_fraction", "must lie in (0, 1)")
+        fail("experiment.collapse_fraction",
+             f"must lie in (0, 1), got {values['experiment.collapse_fraction']}")
 
     return RunConfig(values=values, grid=grid, coupling=coupling, flow=flow,
                      radii=radii, eps_conc=float(eps_conc), base_dir=base_dir,

@@ -58,10 +58,13 @@ class Grid:
     ly: float
 
     def __post_init__(self):
-        if self.nx < MIN_NODES or self.ny < MIN_NODES:
-            raise ValueError(f"node counts must be >= {MIN_NODES}, got ({self.nx}, {self.ny})")
-        if not (self.lx > 0 and self.ly > 0):
-            raise ValueError(f"side lengths must be positive, got ({self.lx}, {self.ly})")
+        # every error starts with its field's name: config reports it under that key
+        for name, value in (("nx", self.nx), ("ny", self.ny)):
+            if value < MIN_NODES:
+                raise ValueError(f"{name} must be >= {MIN_NODES}, got {value}")
+        for name, value in (("lx", self.lx), ("ly", self.ly)):
+            if not value > 0:
+                raise ValueError(f"{name} must be positive, got {value}")
 
     @property
     def hx(self) -> float:

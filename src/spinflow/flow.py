@@ -12,10 +12,10 @@ with c = 2 for the gradient flow and c = 1 for the Landau-Lifshitz flow
 `step`, `evolve` and `relax` share one stepping loop on an integer step
 budget, t = t0 + n dt.  Inside it the field is the bare (3, nx, ny) array
 of SphereField values, wrapped as a SphereField only where one leaves the
-loop.  The loop allocates one workspace per run and reuses its arrays at
-every step: the initial values are copied into one of two padded state
-buffers, the first step records its array operations, every later step
-replays them, and the states alternate between the two buffers.
+loop.  Each run makes one workspace, which records the array operations of
+the right-hand side and of the Euler update when it is made and holds the
+run's dt; every step replays them.  The initial values are copied into one
+of two padded state buffers, and the states alternate between the two.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import diagnostics
-from .domain import Coupling, Grid, _dot, critical_points
+from .domain import Coupling, Grid, critical_points
 from .field import SphereField
 from .operators import TangentField, _rhs_arrays, _Workspace
 
@@ -141,49 +141,37 @@ def _sphere_field(like: SphereField, u: np.ndarray) -> SphereField:
     return SphereField(like.grid, u)
 
 
-def _raise_blowup(velocity: np.ndarray, t: float, nstep: int):
-    """Raise BlowUpError at the first (i, j) node where the component-major
-    velocity is not finite."""
-    node = tuple(int(k) for k in np.argwhere(~np.isfinite(velocity).all(axis=0))[0])
+def _raise_blowup(bad: np.ndarray, failure: str, t: float, nstep: int):
+    """Raise BlowUpError for `failure` at the first (i, j) node set in the mask `bad`."""
+    node = tuple(int(k) for k in np.argwhere(bad)[0])
     raise BlowUpError(
-        f"blow-up under-resolved: non-finite velocity at node {node}, t = {t}, step = {nstep}",
+        f"blow-up under-resolved: {failure} at node {node}, t = {t}, step = {nstep}",
         node=node, t=t, step=nstep)
 
 
-def _project_unit(w: np.ndarray, t: float, nstep: int,
-                  norms: np.ndarray | None = None) -> np.ndarray:
-    """Normalise each node of the component-major w in place and return it;
-    `norms` holds |w| per node when it is given."""
-    if norms is None:
-        norms = np.sqrt(_dot(w, w))
+def _project_unit(w: np.ndarray, t: float, nstep: int, norms: np.ndarray) -> np.ndarray:
+    """Normalise each node of w in place by its norm |w| in `norms`; return w."""
     if not (norms.min() > 0.0 and math.isfinite(norms.max())):   # NaN fails both
-        ok = np.isfinite(norms) & (norms > 0.0)
-        node = tuple(int(k) for k in np.argwhere(~ok)[0])
-        raise BlowUpError(
-            f"blow-up under-resolved: renormalization failed at node {node}, "
-            f"t = {t}, step = {nstep}", node=node, t=t, step=nstep)
+        _raise_blowup(~(np.isfinite(norms) & (norms > 0.0)), "renormalization failed", t, nstep)
     w /= norms
     return w
 
 
-def _apply_step(u: np.ndarray, v: np.ndarray, v_sq: float, dt: float, t: float, nstep: int,
-                ws: _Workspace | None = None) -> np.ndarray:
-    """Apply one Euler step u + dt v, with v_sq = int |v|^2, and return the
-    new state: u itself at an exact stationary point, else the state buffer
-    of `ws` that does not hold u (of a one-shot workspace when none is
-    given), so u stays the last valid state if this fails."""
+def _apply_step(u: np.ndarray, v_sq: float, t: float, nstep: int, ws: _Workspace) -> np.ndarray:
+    """Apply one Euler step u + dt v with the velocity v of the last
+    evaluation in `ws` and v_sq = int |v|^2, and return the new state: u
+    itself at an exact stationary point, else the state buffer of `ws` that
+    does not hold u, so u stays the last valid state if this fails."""
     # v_sq > 0 already shows that v is not zero
-    if not v_sq > 0 and not v.any():
+    if not v_sq > 0 and not ws.out[0].any():
         # exact stationary point: keep the state bitwise unchanged
         return u
-    if ws is None:
-        ws = _Workspace(u.shape[1:])
-    plan, w = ws.step(u, v, dt)
+    i = ws.index(u)
     with np.errstate(over="ignore", invalid="ignore"):
         # overflow here is the under-resolved blow-up signature; the
         # projection guard turns it into a structured error
-        plan.run()
-        return _project_unit(w, t, nstep, ws.d)
+        ws.step[i].run()
+        return _project_unit(ws.states[1 - i], t, nstep, ws.d)
 
 
 def _step_budget(t_end: float, dt: float) -> int:
@@ -216,22 +204,23 @@ def _steps(field: SphereField, coupling: Coupling, config: FlowConfig, dt: float
     copy.
     """
     grid = field.grid
-    ws = _Workspace(grid.shape)
+    ws = _Workspace(grid, coupling, config.flow_kind)
+    ws.dt[...] = dt
     u = field.values
     for n in range(budget + 1):
         t = t0 + n * dt
         if n and snapshot_sink and config.snapshot_every and n % config.snapshot_every == 0:
             snapshot_sink(FlowState(_sphere_field(field, u.copy()), t=t, step=n0 + n))
         try:
-            v, F, gsq = _rhs_arrays(u, grid.hx, grid.hy, coupling, config.flow_kind, ws)
+            v, F, gsq = _rhs_arrays(u, ws)
             v_sq = float(np.einsum("ijk,ijk->", v, v) * grid.cell_area)
             # a non-finite entry makes the sum non-finite, so the nodewise
             # scan runs only when the sum is
             if n < budget and not math.isfinite(v_sq) and not np.all(np.isfinite(v)):
-                _raise_blowup(v, t, n0 + n)
+                _raise_blowup(~np.isfinite(v).all(axis=0), "non-finite velocity", t, n0 + n)
             yield n, t, u, v, F, gsq, v_sq
             if n < budget:
-                u = _apply_step(u, v, v_sq, dt, t, n0 + n, ws)
+                u = _apply_step(u, v_sq, t, n0 + n, ws)
         except BlowUpError as err:
             err.state = FlowState(_sphere_field(field, u), t=t, step=n0 + n)
             raise
@@ -239,7 +228,7 @@ def _steps(field: SphereField, coupling: Coupling, config: FlowConfig, dt: float
 
 def step(state: FlowState, coupling: Coupling, config: FlowConfig) -> FlowState:
     """Advance one explicit step u <- Pi(u + dt v) with nodewise renormalization
-    (the first iteration of the stepping loop).
+    (the stepping loop with a budget of one step).
 
     Raises BlowUpError carrying the offending node if the velocity is
     non-finite (the configured motion is no longer resolved by the grid).
@@ -247,14 +236,15 @@ def step(state: FlowState, coupling: Coupling, config: FlowConfig) -> FlowState:
     grid = state.field.grid
     dt = resolve_dt(grid, coupling, config)
     try:
-        _, t, u, v, _, _, v_sq = next(_steps(state.field, coupling, config, dt, 1,
-                                          t0=state.t, n0=state.step))
-        u_new = _apply_step(u, v, v_sq, dt, t, state.step)
+        for n, _, u, v, _, _, _ in _steps(state.field, coupling, config, dt, 1,
+                                          t0=state.t, n0=state.step):
+            if n == 0:
+                velocity = v.copy()     # the terminal evaluation overwrites v
     except BlowUpError as err:
         err.state = state
         raise
-    return FlowState(field=_sphere_field(state.field, u_new), t=state.t + dt,
-                     step=state.step + 1, last_velocity=TangentField(grid, v))
+    return FlowState(field=_sphere_field(state.field, u), t=state.t + dt,
+                     step=state.step + 1, last_velocity=TangentField(grid, velocity))
 
 
 def evolve(initial: SphereField, coupling: Coupling, config: FlowConfig, *,

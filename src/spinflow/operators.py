@@ -104,39 +104,40 @@ def _row_blocks(shape: tuple[int, int], vectors: int) -> list[tuple]:
 
 class _Workspace:
     """Every array that one evaluation of the flow right-hand side and one
-    Euler step write, allocated once for a (nx, ny) grid, and the calls that
+    Euler step of a run write, allocated for its grid, and the calls that
     write them, recorded as _Plans by the kernel functions of the eager
-    operators.
+    operators when the workspace is made.
 
     The arrays are v, F and |grad u|^2, two per-node scratch planes d and
     tmp, and `blocks`, (i0, i1, u_y scratch) per block of x-rows
     i0 <= i < i1.  `states` are two (3, nx, ny) views of padded buffers that
     store each plane flat between two halo x-rows, as a _Pad does, so the
-    stencil reads its neighbours from the state itself.  Per state buffer
-    the workspace records one right-hand-side plan, which refreshes the
-    halo rows and writes v (for both flows also the stencil's scratch), F
-    and |grad u|^2 block by block, and one Euler plan, which writes u + dt v
-    for the velocity v into the other state buffer and its norms into d.
-    Plans are recorded at their first use and again for another spacing,
-    coupling or flow kind, or another velocity array or dt.
+    stencil reads its neighbours from the state itself.  `out` is
+    (velocity, F, |grad u|^2), the velocity being F on the gradient flow and
+    v (LL) on any other kind.  Per state buffer the workspace records, for
+    the run's grid, coupling and flow kind, one plan in `rhs`, which
+    refreshes the halo rows and writes `out` and the stencil's scratch block
+    by block, and one in `step`, which writes u + dt v (v from `out`, dt from
+    the 0-d array `dt`) into the other state buffer and its norms into d.
 
     Whoever holds the workspace owns these arrays: the next evaluation
-    overwrites v, F, |grad u|^2 and the scratch, and each step the other
-    state buffer.
+    overwrites `out` and the scratch, and each step the other state buffer.
     """
 
-    def __init__(self, shape: tuple[int, int]):
-        nx, ny = shape
-        self.shape = (nx, ny)
+    def __init__(self, grid: Grid, coupling: Coupling, kind: str):
+        nx, ny = grid.shape
         self.v = np.empty((3, nx, ny))
         self.F = np.empty((3, nx, ny))
         self.gsq, self.d, self.tmp = np.empty((3, nx, ny))
-        self.blocks = _row_blocks(self.shape, 1)
-        self._pads = np.empty((2, 3, (nx + 2) * ny))
-        self.states = tuple(p.reshape(3, nx + 2, ny)[:, 1:-1] for p in self._pads)
-        self._rhs_key = self._step_key = (None,)
+        self.dt = np.zeros(())
+        self.out = (self.F if kind == "gradient" else self.v, self.F, self.gsq)
+        self.blocks = _row_blocks(grid.shape, 1)
+        pads = np.empty((2, 3, (nx + 2) * ny))
+        self.states = tuple(p.reshape(3, nx + 2, ny)[:, 1:-1] for p in pads)
+        self.rhs = [self._record_rhs(p, grid, coupling, kind) for p in pads]
+        self.step = [self._record_step(u, w) for u, w in zip(self.states, self.states[::-1])]
 
-    def _index(self, u: np.ndarray) -> int:
+    def index(self, u: np.ndarray) -> int:
         """The index of the state buffer that holds u; a u that is no state
         buffer is copied into the first one."""
         if u is self.states[1]:
@@ -145,18 +146,10 @@ class _Workspace:
             np.copyto(self.states[0], u)
         return 0
 
-    def rhs(self, u: np.ndarray, hx: float, hy: float, coupling: Coupling, kind: str) -> _Plan:
-        """The right-hand-side plan of the state buffer that holds u."""
-        i = self._index(u)
-        if not (self._rhs_key[0] is coupling and self._rhs_key[1:] == (hx, hy, kind)):
-            self._rhs_key = (coupling, hx, hy, kind)
-            self._rhs = [self._record_rhs(k, hx, hy, coupling, kind) for k in (0, 1)]
-        return self._rhs[i]
-
-    def _record_rhs(self, i: int, hx: float, hy: float, coupling: Coupling, kind: str) -> _Plan:
-        nx, ny = self.shape
-        plan, pad, u = _Plan(), self._pads[i], self.states[i]
-        rows = pad.reshape(3, nx + 2, ny)
+    def _record_rhs(self, pad: np.ndarray, grid: Grid, coupling: Coupling, kind: str) -> _Plan:
+        (nx, ny), hx, hy = grid.shape, grid.hx, grid.hy
+        plan, rows = _Plan(), pad.reshape(3, nx + 2, ny)
+        u = rows[:, 1:-1]
         plan(np.copyto, rows[:, 0], rows[:, nx])       # the halo rows: x-rows nx - 1 and 0
         plan(np.copyto, rows[:, nx + 1], rows[:, 1])
         for i0, i1, uy in self.blocks:
@@ -176,21 +169,12 @@ class _Workspace:
                 plan(np.add, ux, F, ux)
         return plan
 
-    def step(self, u: np.ndarray, v: np.ndarray, dt: float) -> tuple[_Plan, np.ndarray]:
-        """(plan, w) for the Euler step from the state buffer that holds u
-        with the velocity v: the plan writes w = u + dt v into the other
-        state buffer, w, and |w| per node into d."""
-        i = self._index(u)
-        if not (self._step_key[0] is v and self._step_key[1:] == (dt,)):
-            self._step_key = (v, dt)
-            self._step = []
-            for s, w in zip(self.states, self.states[::-1]):
-                plan = _Plan()
-                plan(np.multiply, v, dt, w)
-                plan(np.add, w, s, w)
-                plan(np.sqrt, _dot(w, w, self.d, self.tmp, plan), self.d)
-                self._step.append(plan)
-        return self._step[i], self.states[1 - i]
+    def _record_step(self, u: np.ndarray, w: np.ndarray) -> _Plan:
+        plan = _Plan()
+        plan(np.multiply, self.out[0], self.dt, w)
+        plan(np.add, w, u, w)
+        plan(np.sqrt, _dot(w, w, self.d, self.tmp, plan), self.d)
+        return plan
 
 
 def grad(field: SphereField) -> tuple[np.ndarray, np.ndarray]:
@@ -220,28 +204,21 @@ def laplacian(field: SphereField) -> np.ndarray:
     return _stencil(field.values, field.grid.hx, field.grid.hy)[2]
 
 
-def _rhs_arrays(u: np.ndarray, hx: float, hy: float, coupling: Coupling, kind: str,
-                ws: _Workspace | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _rhs_arrays(u: np.ndarray, ws: _Workspace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Shared core: flow velocity v, defect F = f*tau + grad f . grad u, and
     |grad u|^2, all from one stencil evaluation, for a component-major
-    (3, nx, ny) u, which need not be exactly unit-norm.  `kind` is
-    canonical: FlowConfig checks it, and any other kind gives the LL
-    velocity; for the gradient flow v is F.
+    (3, nx, ny) u, which need not be exactly unit-norm, under the grid,
+    coupling and flow kind of `ws`; for the gradient flow v is F.
 
-    The results are the arrays of the workspace `ws` (a one-shot one when
-    none is given), written by replaying its right-hand-side plan for u;
-    once a workspace has recorded it, nothing is allocated.  Overflow and
-    invalid operations are not reported: a non-finite velocity is the
-    blow-up signature the caller scans for.
+    The results are `ws.out`, written by replaying the right-hand-side plan
+    of the state buffer of `ws` that holds u (u is copied into one first if
+    it is none); nothing is allocated.  Overflow and invalid operations are
+    not reported: a non-finite velocity is the blow-up signature the caller
+    scans for.
     """
-    if ws is None:
-        ws = _Workspace(u.shape[1:])
-    plan = ws.rhs(u, hx, hy, coupling, kind)
     with np.errstate(over="ignore", invalid="ignore"):
-        plan.run()
-    if kind == "gradient":
-        return ws.F, ws.F, ws.gsq
-    return ws.v, ws.F, ws.gsq
+        ws.rhs[ws.index(u)].run()
+    return ws.out
 
 
 def tension(field: SphereField) -> TangentField:
@@ -264,7 +241,7 @@ def ps_residual(field: SphereField, coupling: Coupling) -> TangentField:
     energy; along the gradient flow it doubles as the flow velocity.
     """
     _check_same_grid(field, coupling)
-    _, F, _ = _rhs_arrays(field.values, field.grid.hx, field.grid.hy, coupling, "gradient")
+    _, F, _ = _rhs_arrays(field.values, _Workspace(field.grid, coupling, "gradient"))
     return TangentField(field.grid, F)
 
 
@@ -275,8 +252,7 @@ def ll_velocity(field: SphereField, coupling: Coupling) -> TangentField:
     are orthogonal and |v|^2 = 2 |F|^2 per node.
     """
     _check_same_grid(field, coupling)
-    v, _, _ = _rhs_arrays(field.values, field.grid.hx, field.grid.hy, coupling,
-                          "landau_lifshitz")
+    v, _, _ = _rhs_arrays(field.values, _Workspace(field.grid, coupling, "landau_lifshitz"))
     return TangentField(field.grid, v)
 
 

@@ -78,7 +78,7 @@ class TestDomainValidation:
 
     def test_grid_too_small(self):
         bad = MINIMAL.replace("grid.nx = 32", "grid.nx = 4")
-        with pytest.raises(ConfigError, match="node counts"):
+        with pytest.raises(ConfigError, match="line 2: grid.nx: must be >= 8, got 4"):
             parse_config(bad)
 
     def test_bubble_requires_scale(self):
@@ -402,6 +402,32 @@ FLOW_RANGE = [
 @pytest.mark.parametrize("key, value, shown, extra", FLOW_RANGE,
                          ids=[f"{k}={v}" for k, v, _, _ in FLOW_RANGE])
 def test_flow_range_error_names_line_key_and_value(key, value, shown, extra):
+    assignments = dict(BASE, **extra, **{key: value})
+    lineno = list(assignments).index(key) + 1
+    with pytest.raises(ConfigError, match=rf"^line {lineno}: {re.escape(key)}: must [^:]*, "
+                                          rf"got {re.escape(shown)}$"):
+        parse_config(_render(assignments))
+
+
+#: (key, value, the value as the error shows it, other keys the case sets)
+RANGE = [
+    ("grid.nx", "4", "4", {}),
+    ("grid.ny", "7", "7", {}),
+    ("grid.lx", "-1", "-1.0", {}),
+    ("grid.ly", "0", "0.0", {}),
+    ("relax.tol", "0", "0.0", {}),
+    ("relax.max_steps", "-1", "-1", {}),
+    ("relax.safety", "2", "2.0", {}),
+    ("experiment.collapse_fraction", "1", "1.0", {}),
+    ("diagnostics.eps_conc", "-1", "-1.0", {}),
+    ("initial.amplitude", "-0.5", "-0.5", {"initial.kind": "perturbed"}),
+    ("initial.axis", "z", "'z'", {"initial.kind": "great-circle"}),
+]
+
+
+@pytest.mark.parametrize("key, value, shown, extra", RANGE,
+                         ids=[f"{k}={v}" for k, v, _, _ in RANGE])
+def test_range_error_names_line_key_and_value(key, value, shown, extra):
     assignments = dict(BASE, **extra, **{key: value})
     lineno = list(assignments).index(key) + 1
     with pytest.raises(ConfigError, match=rf"^line {lineno}: {re.escape(key)}: must [^:]*, "

@@ -4,7 +4,7 @@ import pytest
 import spinflow as sf
 from spinflow import flow as flow_module
 from spinflow.field import SphereField, normalize
-from spinflow.domain import Coupling
+from spinflow.domain import Coupling, _dot
 from spinflow.flow import FlowState, _project_unit, _step_budget
 from spinflow.relax import DEFAULT_SAFETY
 
@@ -293,7 +293,7 @@ class TestEvolve:
     def test_exact_stationary_state_keeps_its_bits(self, grid32):
         # renormalizing this constant field would change its last bits
         u = sf.constant_field(grid32, (0.1, 0.7, 0.3))
-        again = _project_unit(np.array(u.values), 0.0, 0)
+        again = _project_unit(np.array(u.values), 0.0, 0, np.sqrt(_dot(u.values, u.values)))
         assert not np.array_equal(again, u.values)
         c = cosine_coupling(grid32)
         dt = sf.cfl_dt(grid32, c, 0.5)
@@ -369,5 +369,5 @@ class TestBlowUpNode:
         w = np.ones((3, 24, 20))
         w[2][self.NODE] = np.nan
         with pytest.raises(sf.BlowUpError) as exc:
-            _project_unit(w, 0.0, 0)
+            _project_unit(w, 0.0, 0, np.sqrt(_dot(w, w)))
         assert exc.value.node == self.NODE

@@ -12,7 +12,7 @@ import pytest
 
 import spinflow as sf
 from spinflow.domain import _grad_arrays, _stencil
-from spinflow.operators import _rhs_arrays
+from spinflow.operators import _rhs_arrays, _Workspace
 from spinflow.relax import DEFAULT_SAFETY
 
 from conftest import blob_field, cosine_coupling
@@ -102,7 +102,7 @@ class TestReferenceKernel:
     def test_rhs_bit_identical(self, setup, kind):
         g, c, u = setup
         ref = ref_rhs_arrays(node_major(u.values), g.hx, g.hy, c, kind)
-        v, F, gsq = _rhs_arrays(u.values, g.hx, g.hy, c, kind)
+        v, F, gsq = _rhs_arrays(u.values, _Workspace(g, c, kind))
         assert np.array_equal(v, component_major(ref[0]))
         assert np.array_equal(F, component_major(ref[1]))
         assert np.array_equal(gsq, ref[2])
@@ -117,7 +117,7 @@ class TestReferenceKernel:
         stage = node_major(u.values) + dt * k1
         assert np.abs(np.linalg.norm(stage, axis=-1) - 1.0).max() > 1e-8
         ref = ref_rhs_arrays(stage, g.hx, g.hy, c, kind)
-        v, F, gsq = _rhs_arrays(component_major(stage), g.hx, g.hy, c, kind)
+        v, F, gsq = _rhs_arrays(component_major(stage), _Workspace(g, c, kind))
         assert np.array_equal(v, component_major(ref[0]))
         assert np.array_equal(F, component_major(ref[1]))
         assert np.array_equal(gsq, ref[2])

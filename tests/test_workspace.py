@@ -113,7 +113,8 @@ UNEVEN = (160, 130, 1.0, 1.0)
 
 
 def test_uneven_grid_runs_as_two_blocks():
-    ws = _Workspace(UNEVEN[:2])
+    g = sf.make_grid(*UNEVEN)
+    ws = _Workspace(g, cosine_coupling(g), "gradient")
     assert [(i0, i1) for i0, i1, *_ in ws.blocks] == [(0, 126), (126, 160)]
 
 
@@ -123,7 +124,7 @@ def test_blocks_match_the_reference_kernel(kind):
     c = cosine_coupling(g)
     u0 = sf.perturb(blob_field(g), 0.3, 5)
     ref = ref_rhs_arrays(node_major(u0.values), g.hx, g.hy, c, kind)
-    v, F, gsq = _rhs_arrays(u0.values, g.hx, g.hy, c, kind, _Workspace(g.shape))
+    v, F, gsq = _rhs_arrays(u0.values, _Workspace(g, c, kind))
     assert np.array_equal(v, component_major(ref[0]))
     assert np.array_equal(F, component_major(ref[1]))
     assert np.array_equal(gsq, ref[2])
@@ -218,10 +219,10 @@ def test_recorded_step_matches_the_reference_kernel_on_edge_grids(spec, blocks, 
     g = sf.make_grid(*spec)
     c = cosine_coupling(g)
     u0 = sf.perturb(blob_field(g), 0.3, 5)
-    ws = _Workspace(g.shape)
+    ws = _Workspace(g, c, kind)
     assert [(i0, i1) for i0, i1, *_ in ws.blocks] == blocks
     ref = ref_rhs_arrays(node_major(u0.values), g.hx, g.hy, c, kind)
-    for got, want in zip(_rhs_arrays(u0.values, g.hx, g.hy, c, kind, ws), ref):
+    for got, want in zip(_rhs_arrays(u0.values, ws), ref):
         assert np.array_equal(got, want if want.ndim == 2 else component_major(want))
     cfg = fixed(g, c, 5, flow_kind=kind)
     out = sf.evolve(u0, c, cfg)
@@ -231,27 +232,21 @@ def test_recorded_step_matches_the_reference_kernel_on_edge_grids(spec, blocks, 
     assert out.state.field.values.flags.c_contiguous
 
 
-def test_a_reused_workspace_matches_a_fresh_one():
-    # each change of grid spacing, coupling, flow kind or dt records the
-    # calls again, also back to ones recorded before
-    g = sf.make_grid(*UNEVEN)
-    g2 = sf.make_grid(UNEVEN[0], UNEVEN[1], 2.0, 0.5)
-    u = sf.perturb(blob_field(g), 0.3, 5).values
-    ws = _Workspace(g.shape)
-    cases = [(g, cosine_coupling(g), "landau_lifshitz", 1e-6),
-             (g, cosine_coupling(g, ax=0.4), "landau_lifshitz", 1e-6),
-             (g, cosine_coupling(g, ax=0.4), "gradient", 1e-6),
-             (g2, cosine_coupling(g2), "gradient", 1e-6),
-             (g2, cosine_coupling(g2), "gradient", 2e-6)]
-    for grid, c, kind, dt in cases + cases[:1]:
-        fresh = _Workspace(g.shape)
-        want = _rhs_arrays(u, grid.hx, grid.hy, c, kind, fresh)
-        got = _rhs_arrays(u, grid.hx, grid.hy, c, kind, ws)
-        for a, b in zip(got, want):
-            assert np.array_equal(a, b)
-        want = flow_module._apply_step(u, want[0], 1.0, dt, 0.0, 0, fresh)
-        got = flow_module._apply_step(u, got[0], 1.0, dt, 0.0, 0, ws)
-        assert np.array_equal(got, want)
-        # and from the state buffer the step wrote
-        want = _rhs_arrays(want, grid.hx, grid.hy, c, kind, fresh)[0]
-        assert np.array_equal(_rhs_arrays(got, grid.hx, grid.hy, c, kind, ws)[0], want)
+@pytest.mark.parametrize("run", ["evolve", "relax", "step", "ps_residual"])
+def test_each_run_makes_one_workspace(grid32, monkeypatch, run):
+    made = []
+    init = _Workspace.__init__
+
+    def counted(self, *args):
+        made.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(_Workspace, "__init__", counted)
+    c = cosine_coupling(grid32)
+    u0 = blob_field(grid32)
+    cfg = fixed(grid32, c, 3, flow_kind="landau_lifshitz")
+    {"evolve": lambda: sf.evolve(u0, c, cfg),
+     "relax": lambda: sf.relax(u0, c, tol=1e-30, max_steps=3),
+     "step": lambda: sf.step(FlowState(field=u0), c, cfg),
+     "ps_residual": lambda: sf.ps_residual(u0, c)}[run]()
+    assert len(made) == 1
