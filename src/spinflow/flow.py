@@ -14,8 +14,9 @@ budget, t = t0 + n dt.  Inside it the field is the bare (3, nx, ny) array
 of SphereField values, wrapped as a SphereField only where one leaves the
 loop.  Each run makes one workspace, which records the array operations of
 the right-hand side and of the Euler update when it is made and holds the
-run's dt; every step replays them.  The initial values are copied into one
-of two padded state buffers, and the states alternate between the two.
+run's dt; every step replays them, forming |grad u|^2 only for a ledger
+row.  The initial values are copied once into one of two padded state
+buffers, and the states alternate between the two.
 """
 
 from __future__ import annotations
@@ -163,7 +164,7 @@ def _apply_step(u: np.ndarray, v_sq: float, t: float, nstep: int, ws: _Workspace
     itself at an exact stationary point, else the state buffer of `ws` that
     does not hold u, so u stays the last valid state if this fails."""
     # v_sq > 0 already shows that v is not zero
-    if not v_sq > 0 and not ws.out[0].any():
+    if not v_sq > 0 and not ws.velocity.any():
         # exact stationary point: keep the state bitwise unchanged
         return u
     i = ws.index(u)
@@ -189,36 +190,49 @@ def _step_budget(t_end: float, dt: float) -> int:
 
 
 def _steps(field: SphereField, coupling: Coupling, config: FlowConfig, dt: float,
-           budget: int, t0: float = 0.0, n0: int = 0, snapshot_sink=None):
+           budget: int, t0: float = 0.0, n0: int = 0, snapshot_sink=None,
+           row_every: int = 0, terminal_rhs: bool = True):
     """The one stepping loop from `field` at step n0, time t0: t = t0 + n dt.
 
-    Yields (n, t, u, v, F, |grad u|^2, int |v|^2) at the start of each step
+    Yields (n, t, u, v, F, grad_sq, int |v|^2) at the start of each step
     n < budget once v has passed the blow-up check, then for the terminal
-    state n = budget unchecked; the caller stops early by leaving the loop.
-    snapshot_sink gets a copy of each snapshot_every-th new state before its
-    check.  A BlowUpError carries the last valid state.
+    state n = budget unchecked, or unevaluated with None for v, F, grad_sq
+    and int |v|^2 if terminal_rhs is false; the caller stops early by
+    leaving the loop.  grad_sq() is |grad u|^2 of u, written by the row
+    variant of the evaluation if n % row_every == 0 or n = budget
+    (row_every > 0), else replayed on u when called.  snapshot_sink gets a
+    copy of each snapshot_every-th new state before its check.  A
+    BlowUpError carries the last valid state.
 
     The yielded arrays belong to the loop's workspace: v, F and |grad u|^2
-    are overwritten when the loop resumes, and u (after step 0, a view of a
-    padded state buffer) by the step after next.  A caller that keeps one longer keeps a
-    copy.
+    are overwritten when the loop resumes, and u (a view of a padded state
+    buffer) by the step after next.  A caller that needs one longer copies it.
     """
     grid = field.grid
     ws = _Workspace(grid, coupling, config.flow_kind)
     ws.dt[...] = dt
-    u = field.values
+    u = ws.states[0]
+    np.copyto(u, field.values)
+
+    def grad_sq() -> np.ndarray:
+        return _rhs_arrays(u, ws, True)[2] if gsq is None else gsq
+
     for n in range(budget + 1):
         t = t0 + n * dt
         if n and snapshot_sink and config.snapshot_every and n % config.snapshot_every == 0:
             snapshot_sink(FlowState(_sphere_field(field, u.copy()), t=t, step=n0 + n))
+        if n == budget and not terminal_rhs:
+            yield n, t, u, None, None, None, None
+            return
         try:
-            v, F, gsq = _rhs_arrays(u, ws)
+            rows = row_every > 0 and (n % row_every == 0 or n == budget)
+            v, F, gsq = _rhs_arrays(u, ws, rows)
             v_sq = float(np.einsum("ijk,ijk->", v, v) * grid.cell_area)
             # a non-finite entry makes the sum non-finite, so the nodewise
             # scan runs only when the sum is
             if n < budget and not math.isfinite(v_sq) and not np.all(np.isfinite(v)):
                 _raise_blowup(~np.isfinite(v).all(axis=0), "non-finite velocity", t, n0 + n)
-            yield n, t, u, v, F, gsq, v_sq
+            yield n, t, u, v, F, grad_sq, v_sq
             if n < budget:
                 u = _apply_step(u, v_sq, t, n0 + n, ws)
         except BlowUpError as err:
@@ -237,9 +251,9 @@ def step(state: FlowState, coupling: Coupling, config: FlowConfig) -> FlowState:
     dt = resolve_dt(grid, coupling, config)
     try:
         for n, _, u, v, _, _, _ in _steps(state.field, coupling, config, dt, 1,
-                                          t0=state.t, n0=state.step):
+                                          t0=state.t, n0=state.step, terminal_rhs=False):
             if n == 0:
-                velocity = v.copy()     # the terminal evaluation overwrites v
+                velocity = v     # no later evaluation writes v
     except BlowUpError as err:
         err.state = state
         raise
@@ -274,15 +288,16 @@ def evolve(initial: SphereField, coupling: Coupling, config: FlowConfig, *,
         diagnostics._disc_window(grid, r)
     reason = "t_end"
     try:
-        for n, t, u, v, F, gsq, v_sq in _steps(initial, coupling, config, dt, budget,
-                                               snapshot_sink=snapshot_sink):
+        for n, t, u, v, F, grad_sq, v_sq in _steps(initial, coupling, config, dt, budget,
+                                                   snapshot_sink=snapshot_sink,
+                                                   row_every=config.diagnostic_every):
             cadence = n % config.diagnostic_every == 0
             stationary = v_sq < tol * tol
             if cadence or stationary or n == budget:   # a terminal state closes the ledger
                 # on the gradient flow F is v, so |F|_{L2} is the root of v_sq
                 ps = (math.sqrt(v_sq) if F is v else
                       float(np.sqrt(np.einsum("ijk,ijk->", F, F) * grid.cell_area)))
-                row = diagnostics.measure_row(grid, coupling, gsq, t=t, v_norm_sq=v_sq,
+                row = diagnostics.measure_row(grid, coupling, grad_sq(), t=t, v_norm_sq=v_sq,
                                               ps_norm=ps, radii=ledger.radii, crit=crit)
                 ledger.append(row)
             if n == budget:
@@ -296,5 +311,6 @@ def evolve(initial: SphereField, coupling: Coupling, config: FlowConfig, *,
     except BlowUpError as err:
         err.ledger = ledger
         raise
+    del v, F, grad_sq      # grad_sq holds the workspace: free it before u is copied
     return EvolveResult(state=FlowState(field=_sphere_field(initial, u), t=t, step=n),
                         ledger=ledger, reason=reason)

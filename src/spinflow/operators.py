@@ -5,6 +5,10 @@ the gradient, the 5-point stencil for the Laplacian.  Fields returned as
 TangentField are re-projected onto the tangent plane of the paired sphere
 field, so the per-node orthogonality invariant holds at machine precision
 rather than merely at stencil order.
+
+The flow right-hand side forms the defect as P_u(f lap u + grad f . grad u):
+at |u| = 1, f*tau(u) differs from f lap u by the normal f |grad u|^2 u,
+which the one projection removes.  Only its row variant forms |grad u|^2.
 """
 
 from __future__ import annotations
@@ -62,22 +66,6 @@ def _cross(call, a: np.ndarray, b: np.ndarray, out: np.ndarray, tmp: np.ndarray)
     return out
 
 
-def _tension_rows(call, pad: _Pad, u: np.ndarray, hx: float, hy: float, tau: np.ndarray,
-                  ux: np.ndarray, uy: np.ndarray, gsq: np.ndarray, d: np.ndarray,
-                  tmp: np.ndarray) -> np.ndarray:
-    """tau = lap u + |grad u|^2 u, tangentially projected, of the x-rows u
-    that `pad` holds, from one stencil evaluation, written into tau with
-    u_x, u_y and |grad u|^2 in ux, uy and gsq (ux is the stencil's scratch,
-    see _stencil_rows) and with d and tmp as per-node scratch planes."""
-    _stencil_rows(call, pad, hx, hy, ux, uy, tau)
-    _dot(ux, ux, gsq, tmp, call)
-    call(np.add, gsq, _dot(uy, uy, d, tmp, call), gsq)
-    for k in range(3):
-        call(np.multiply, gsq, u[k], tmp)
-        call(np.add, tau[k], tmp, tau[k])
-    return _project(call, tau, u, d, tmp)
-
-
 #: x-rows are processed in blocks of at most this many nodes, so that the
 #: planes one block touches stay near the 2 MiB L2 cache of a core: 64^2
 #: and 128^2 run as one block, 256^2 as four.  On a 2-core Xeon, in
@@ -112,16 +100,16 @@ class _Workspace:
     tmp, and `blocks`, (i0, i1, u_y scratch) per block of x-rows
     i0 <= i < i1.  `states` are two (3, nx, ny) views of padded buffers that
     store each plane flat between two halo x-rows, as a _Pad does, so the
-    stencil reads its neighbours from the state itself.  `out` is
-    (velocity, F, |grad u|^2), the velocity being F on the gradient flow and
-    v (LL) on any other kind.  Per state buffer the workspace records, for
-    the run's grid, coupling and flow kind, one plan in `rhs`, which
-    refreshes the halo rows and writes `out` and the stencil's scratch block
-    by block, and one in `step`, which writes u + dt v (v from `out`, dt from
-    the 0-d array `dt`) into the other state buffer and its norms into d.
+    stencil reads its neighbours from the state itself.  `velocity` is F on
+    the gradient flow and v (LL) on any other kind.  Per state buffer the
+    workspace records, for the run's grid, coupling and flow kind, one plan
+    in `rhs`, which refreshes the halo rows and writes v, F and the
+    stencil's scratch block by block, its row variant in `row_rhs`, which
+    writes |grad u|^2 too, and one in `step`, which writes u + dt velocity
+    (dt: the 0-d array `dt`) into the other state buffer, its norms into d.
 
     Whoever holds the workspace owns these arrays: the next evaluation
-    overwrites `out` and the scratch, and each step the other state buffer.
+    overwrites v, F and the scratch, and each step the other state buffer.
     """
 
     def __init__(self, grid: Grid, coupling: Coupling, kind: str):
@@ -130,11 +118,12 @@ class _Workspace:
         self.F = np.empty((3, nx, ny))
         self.gsq, self.d, self.tmp = np.empty((3, nx, ny))
         self.dt = np.zeros(())
-        self.out = (self.F if kind == "gradient" else self.v, self.F, self.gsq)
+        self.velocity = self.F if kind == "gradient" else self.v
         self.blocks = _row_blocks(grid.shape, 1)
         pads = np.empty((2, 3, (nx + 2) * ny))
         self.states = tuple(p.reshape(3, nx + 2, ny)[:, 1:-1] for p in pads)
-        self.rhs = [self._record_rhs(p, grid, coupling, kind) for p in pads]
+        self.rhs, self.row_rhs = ([self._record_rhs(p, grid, coupling, kind, rows) for p in pads]
+                                  for rows in (False, True))
         self.step = [self._record_step(u, w) for u, w in zip(self.states, self.states[::-1])]
 
     def index(self, u: np.ndarray) -> int:
@@ -146,17 +135,20 @@ class _Workspace:
             np.copyto(self.states[0], u)
         return 0
 
-    def _record_rhs(self, pad: np.ndarray, grid: Grid, coupling: Coupling, kind: str) -> _Plan:
+    def _record_rhs(self, pad: np.ndarray, grid: Grid, coupling: Coupling, kind: str,
+                    rows: bool) -> _Plan:
         (nx, ny), hx, hy = grid.shape, grid.hx, grid.hy
-        plan, rows = _Plan(), pad.reshape(3, nx + 2, ny)
-        u = rows[:, 1:-1]
-        plan(np.copyto, rows[:, 0], rows[:, nx])       # the halo rows: x-rows nx - 1 and 0
-        plan(np.copyto, rows[:, nx + 1], rows[:, 1])
+        plan, padded = _Plan(), pad.reshape(3, nx + 2, ny)
+        u = padded[:, 1:-1]
+        plan(np.copyto, padded[:, 0], padded[:, nx])       # the halo rows: x-rows nx - 1 and 0
+        plan(np.copyto, padded[:, nx + 1], padded[:, 1])
         for i0, i1, uy in self.blocks:
             ub, F, ux = u[:, i0:i1], self.F[:, i0:i1], self.v[:, i0:i1]
             d, tmp = self.d[i0:i1], self.tmp[i0:i1]
-            _tension_rows(plan, _Pad(pad[:, i0 * ny:(i1 + 2) * ny], ny), ub, hx, hy,
-                          F, ux, uy, self.gsq[i0:i1], d, tmp)
+            _stencil_rows(plan, _Pad(pad[:, i0 * ny:(i1 + 2) * ny], ny), hx, hy, ux, uy, F)
+            if rows:
+                gsq = _dot(ux, ux, self.gsq[i0:i1], tmp, plan)
+                plan(np.add, gsq, _dot(uy, uy, d, tmp, plan), gsq)
             plan(np.multiply, F, coupling.values[i0:i1], F)
             plan(np.multiply, ux, coupling.grad_x[i0:i1], ux)
             plan(np.add, F, ux, F)
@@ -171,7 +163,7 @@ class _Workspace:
 
     def _record_step(self, u: np.ndarray, w: np.ndarray) -> _Plan:
         plan = _Plan()
-        plan(np.multiply, self.out[0], self.dt, w)
+        plan(np.multiply, self.velocity, self.dt, w)
         plan(np.add, w, u, w)
         plan(np.sqrt, _dot(w, w, self.d, self.tmp, plan), self.d)
         return plan
@@ -204,21 +196,23 @@ def laplacian(field: SphereField) -> np.ndarray:
     return _stencil(field.values, field.grid.hx, field.grid.hy)[2]
 
 
-def _rhs_arrays(u: np.ndarray, ws: _Workspace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Shared core: flow velocity v, defect F = f*tau + grad f . grad u, and
-    |grad u|^2, all from one stencil evaluation, for a component-major
-    (3, nx, ny) u, which need not be exactly unit-norm, under the grid,
-    coupling and flow kind of `ws`; for the gradient flow v is F.
+def _rhs_arrays(u: np.ndarray, ws: _Workspace, rows: bool = False
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Shared core: flow velocity v, defect F = P_u(f lap u + grad f . grad u)
+    and, with `rows`, |grad u|^2 (else None), all from one stencil
+    evaluation, for a component-major (3, nx, ny) u, which need not be
+    exactly unit-norm, under the grid, coupling and flow kind of `ws`; for
+    the gradient flow v is F.
 
-    The results are `ws.out`, written by replaying the right-hand-side plan
-    of the state buffer of `ws` that holds u (u is copied into one first if
-    it is none); nothing is allocated.  Overflow and invalid operations are
-    not reported: a non-finite velocity is the blow-up signature the caller
-    scans for.
+    The results are arrays of `ws`, written by replaying the right-hand-side
+    plan (or with `rows` its row variant) of the state buffer of `ws` that
+    holds u (u is copied into one first if it is none); nothing is
+    allocated.  Overflow and invalid operations are not reported: a
+    non-finite velocity is the blow-up signature the caller scans for.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        ws.rhs[ws.index(u)].run()
-    return ws.out
+        (ws.row_rhs if rows else ws.rhs)[ws.index(u)].run()
+    return ws.velocity, ws.F, ws.gsq if rows else None
 
 
 def tension(field: SphereField) -> TangentField:
@@ -228,14 +222,14 @@ def tension(field: SphereField) -> TangentField:
     so the normal component is removed to keep downstream identities exact.
     """
     g, u = field.grid, field.values
-    tau, ux, uy = (np.empty(u.shape) for _ in range(3))
-    gsq, d, tmp = np.empty((3,) + g.shape)
-    _tension_rows(_eager, _pad_rows(u, 0, g.nx), u, g.hx, g.hy, tau, ux, uy, gsq, d, tmp)
-    return TangentField(g, tau)
+    ux, uy, tau = _stencil(u, g.hx, g.hy)
+    tau += (_dot(ux, ux) + _dot(uy, uy)) * u
+    return TangentField(g, _project(_eager, tau, u, *np.empty((2,) + g.shape)))
 
 
 def ps_residual(field: SphereField, coupling: Coupling) -> TangentField:
-    """Palais-Smale defect f*tau(u) + grad f . grad u, tangentially projected.
+    """Palais-Smale defect f*tau(u) + grad f . grad u, tangentially projected
+    (formed as P_u(f lap u + grad f . grad u), equal at |u| = 1).
 
     Vanishes exactly when u is a discrete stationary point of the weighted
     energy; along the gradient flow it doubles as the flow velocity.

@@ -1,10 +1,17 @@
-"""The component-major stencil core against the node-major np.roll/einsum
-kernel it replaced, kept here as the reference.
+"""The component-major stencil core against a node-major np.roll/einsum
+kernel, kept here as the reference.
 
-The per-node arithmetic is unchanged, so v, F and |grad u|^2 must be equal
-bit for bit.  Only full-grid sums over a component-major array accumulate in
-another order; those are held to a relative bound fixed beforehand from the
-float64 epsilon (2.2e-16) and the grid size.
+The reference forms the defect as the step does, F = P_u(f lap u +
+grad f . grad u), so v, F and |grad u|^2 must be equal bit for bit.  Only
+full-grid sums over a component-major array accumulate in another order;
+those are held to a relative bound fixed beforehand from the float64
+epsilon (2.2e-16) and the grid size.
+
+A second oracle keeps the defect as written with the tension,
+F = P_u(f tau(u) + grad f . grad u), tau = P_u(lap u + |grad u|^2 u).  On
+unit-norm input the two differ only by rounding in the normal term
+f |grad u|^2 u that the projection removes; off the sphere P_u is no
+projection and they differ by more.
 """
 
 import numpy as np
@@ -19,6 +26,9 @@ from conftest import blob_field, cosine_coupling
 
 #: relative bound on a reordered full-grid float64 sum of positive terms
 SUM_RTOL = 1e-12
+
+#: bound on |F - F_tension|, relative to max |F|, on unit-norm input
+FORMULA_RTOL = 1e-13
 
 
 # ---------------------------------------------------------------------------
@@ -53,11 +63,14 @@ def ref_cross(a, b):
     return out
 
 
-def ref_rhs_arrays(u, hx, hy, coupling, kind):
+def ref_rhs_arrays(u, hx, hy, coupling, kind, tension=False):
+    """(v, F, |grad u|^2) with F = P_u(f lap u + grad f . grad u), or with
+    `tension` the second oracle's F = P_u(f tau(u) + grad f . grad u)."""
     ux, uy, lap = ref_stencil(u, hx, hy)
     gsq = ref_dot(ux, ux) + ref_dot(uy, uy)
-    tau = ref_project(lap + gsq[..., None] * u, u)
-    F = coupling.values[..., None] * tau \
+    if tension:
+        lap = ref_project(lap + gsq[..., None] * u, u)
+    F = coupling.values[..., None] * lap \
         + coupling.grad_x[..., None] * ux + coupling.grad_y[..., None] * uy
     F = ref_project(F, u)
     v = F if kind == "gradient" else F + ref_cross(u, F)
@@ -102,10 +115,27 @@ class TestReferenceKernel:
     def test_rhs_bit_identical(self, setup, kind):
         g, c, u = setup
         ref = ref_rhs_arrays(node_major(u.values), g.hx, g.hy, c, kind)
-        v, F, gsq = _rhs_arrays(u.values, _Workspace(g, c, kind))
+        ws = _Workspace(g, c, kind)
+        v, F, gsq = _rhs_arrays(u.values, ws)
+        assert gsq is None
+        assert np.array_equal(v, component_major(ref[0]))
+        assert np.array_equal(F, component_major(ref[1]))
+        # the row variant writes the same v and F, and |grad u|^2
+        v, F, gsq = _rhs_arrays(u.values, ws, True)
         assert np.array_equal(v, component_major(ref[0]))
         assert np.array_equal(F, component_major(ref[1]))
         assert np.array_equal(gsq, ref[2])
+
+    @pytest.mark.parametrize("kind", ["gradient", "landau_lifshitz"])
+    def test_rhs_matches_the_tension_formula_on_the_sphere(self, setup, kind):
+        g, c, u = setup
+        assert u.max_norm_deviation <= 1e-15
+        old = ref_rhs_arrays(node_major(u.values), g.hx, g.hy, c, kind, tension=True)
+        v, F, _ = _rhs_arrays(u.values, _Workspace(g, c, kind))
+        for got, want in ((v, old[0]), (F, old[1])):
+            want = component_major(want)
+            assert not np.array_equal(got, want)    # the formulas round differently
+            assert np.abs(got - want).max() <= FORMULA_RTOL * np.abs(want).max()
 
     @pytest.mark.parametrize("kind", ["gradient", "landau_lifshitz"])
     def test_rhs_bit_identical_off_the_sphere(self, setup, kind):
@@ -117,7 +147,7 @@ class TestReferenceKernel:
         stage = node_major(u.values) + dt * k1
         assert np.abs(np.linalg.norm(stage, axis=-1) - 1.0).max() > 1e-8
         ref = ref_rhs_arrays(stage, g.hx, g.hy, c, kind)
-        v, F, gsq = _rhs_arrays(component_major(stage), _Workspace(g, c, kind))
+        v, F, gsq = _rhs_arrays(component_major(stage), _Workspace(g, c, kind), True)
         assert np.array_equal(v, component_major(ref[0]))
         assert np.array_equal(F, component_major(ref[1]))
         assert np.array_equal(gsq, ref[2])

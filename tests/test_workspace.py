@@ -6,6 +6,8 @@ buffers.  Whatever leaves the loop (snapshot-sink states, relax's best
 iterate, step()'s result) must not change when the loop goes on.
 """
 
+import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
@@ -42,28 +44,126 @@ def test_snapshot_sink_states_outlive_the_run(grid32):
         assert np.array_equal(state.field.values, want), state.step
 
 
-def test_relax_returns_an_early_best_iterate_bit_for_bit(grid32, monkeypatch):
-    # from the sixth evaluation on the velocity is tripled, so the defect
-    # history rises after iterate 4, which stays the best of 8 steps
+def relax_with_rising_defect(grid, monkeypatch, best):
+    """relax for 8 steps with the velocity tripled from evaluation best + 2
+    on, so the defect history rises after iterate `best`, which stays the
+    best; the returned field must be that iterate bit for bit."""
     rhs = flow_module._rhs_arrays
     calls = []
 
     def rising_rhs(*args):
         v, F, gsq = rhs(*args)
         calls.append(1)
-        if len(calls) > 5:
+        if len(calls) > best + 1:
             v *= 3.0
         return v, F, gsq
 
     monkeypatch.setattr(flow_module, "_rhs_arrays", rising_rhs)
-    c = cosine_coupling(grid32)
-    u0 = blob_field(grid32)
+    c = cosine_coupling(grid)
+    u0 = blob_field(grid)
     res = sf.relax(u0, c, tol=1e-30, max_steps=8)
     assert not res.converged and res.steps == 8
-    assert int(np.argmin(res.history)) == 4
-    dt = sf.cfl_dt(grid32, c, DEFAULT_SAFETY)
-    want = ref_euler(node_major(u0.values), c, dt, "gradient", 4)[0]
+    assert int(np.argmin(res.history)) == best
+    dt = sf.cfl_dt(grid, c, DEFAULT_SAFETY)
+    want = ref_euler(node_major(u0.values), c, dt, "gradient", best)[0]
     assert np.array_equal(res.field.values, component_major(want))
+
+
+def test_relax_returns_an_early_best_iterate_bit_for_bit(grid32, monkeypatch):
+    relax_with_rising_defect(grid32, monkeypatch, 4)
+
+
+def test_relax_returns_the_initial_iterate_when_it_stays_the_best(grid32, monkeypatch):
+    # iterate 0 lives in the state buffer that step 1 overwrites
+    relax_with_rising_defect(grid32, monkeypatch, 0)
+
+
+def test_step_evaluates_the_right_hand_side_once(grid32, monkeypatch):
+    # the terminal state of step()'s one-step budget is not evaluated, and
+    # its one evaluation writes no |grad u|^2
+    rhs = flow_module._rhs_arrays
+    calls = []
+
+    def counted(*args):
+        calls.append(args[2:])
+        return rhs(*args)
+
+    monkeypatch.setattr(flow_module, "_rhs_arrays", counted)
+    c = cosine_coupling(grid32)
+    cfg = sf.FlowConfig(flow_kind="landau_lifshitz", t_end=1.0, safety=0.5)
+    state = FlowState(field=blob_field(grid32))
+    for _ in range(3):
+        calls.clear()
+        state = sf.step(state, c, cfg)
+        assert calls == [(False,)]
+    assert state.step == 3
+
+
+def test_a_run_copies_its_initial_values_once(grid32, monkeypatch):
+    copyto = np.copyto
+    full = []
+
+    def spy(dst, src, *args, **kwargs):
+        if np.shape(dst) == (3,) + grid32.shape:
+            full.append(np.shape(src))
+        return copyto(dst, src, *args, **kwargs)
+
+    monkeypatch.setattr(np, "copyto", spy)
+    c = cosine_coupling(grid32)
+    out = sf.evolve(blob_field(grid32), c, fixed(grid32, c, 3, flow_kind="landau_lifshitz"))
+    assert out.state.step == 3
+    assert full == [(3,) + grid32.shape]
+
+
+def test_rows_measure_the_state_they_belong_to(grid32, monkeypatch):
+    # rows every 3 steps: cadence rows (0, 3, 6) and the terminal row (8) of
+    # one run, the off-cadence stationary row (7) of another; each row's
+    # E_f and peak density must be those of its own state, not of an
+    # earlier evaluation's |grad u|^2
+    c = cosine_coupling(grid32)
+    u0 = sf.perturb(blob_field(grid32), 0.3, 5)
+    norms = [math.sqrt(r.v_norm_sq) for r in sf.evolve(u0, c, fixed(grid32, c, 8)).ledger.rows]
+    tol = 0.5 * (norms[6] + norms[7])
+    assert min(norms[:7]) > tol
+    rhs = flow_module._rhs_arrays
+    rows = []
+
+    def recorded(*args):
+        rows.append(bool(args[2:] and args[2]))
+        return rhs(*args)
+
+    monkeypatch.setattr(flow_module, "_rhs_arrays", recorded)
+    cadence = [True, False, False] * 2 + [True, False]
+    for nsteps, stationarity_tol, reason in ((8, 0.0, "t_end"), (20, tol, "stationary")):
+        kept = []
+        rows.clear()
+        cfg = dataclasses.replace(fixed(grid32, c, nsteps), diagnostic_every=3, snapshot_every=3,
+                                  stationarity_tol=stationarity_tol)
+        out = sf.evolve(u0, c, cfg, snapshot_sink=kept.append)
+        assert out.reason == reason
+        # only row steps form |grad u|^2: the terminal evaluation at once,
+        # the stationary row by one more evaluation of state 7
+        assert rows == cadence + [True]
+        states = [u0] + [s.field for s in kept] + [out.state.field]
+        steps = [0] + [s.step for s in kept] + [out.state.step]
+        assert steps == [0, 3, 6, 8 if reason == "t_end" else 7]
+        assert [row.t for row in out.ledger.rows] == [n * cfg.dt for n in steps]
+        for row, state in zip(out.ledger.rows, states):
+            assert row.e_f == sf.energy(state, c)
+            assert row.max_density == sf.energy_density(state, c).max()
+
+
+@pytest.mark.parametrize("n, kind, lean, rows", [(128, "landau_lifshitz", 44, 55),
+                                                 (64, "gradient", 34, 45),
+                                                 (256, "gradient", 130, 174)])
+def test_plans_leave_out_the_normal_term(n, kind, lean, rows):
+    # two halo copies, then per block of x-rows the stencil (16 calls), F
+    # (5), one projection (11) and on LL u x F + F (10); the row variant
+    # adds the two dots of u_x and u_y and their sum (11 per block).  The
+    # tension's |grad u|^2 u term and second projection took 28 more per block
+    g = sf.make_grid(n, n, 1.0, 1.0)
+    ws = _Workspace(g, cosine_coupling(g), kind)
+    assert [(len(ws.rhs[i]), len(ws.row_rhs[i])) for i in range(2)] == [(lean, rows)] * 2
 
 
 def test_step_results_do_not_change_on_the_next_step(grid32):
@@ -124,7 +224,7 @@ def test_blocks_match_the_reference_kernel(kind):
     c = cosine_coupling(g)
     u0 = sf.perturb(blob_field(g), 0.3, 5)
     ref = ref_rhs_arrays(node_major(u0.values), g.hx, g.hy, c, kind)
-    v, F, gsq = _rhs_arrays(u0.values, _Workspace(g, c, kind))
+    v, F, gsq = _rhs_arrays(u0.values, _Workspace(g, c, kind), True)
     assert np.array_equal(v, component_major(ref[0]))
     assert np.array_equal(F, component_major(ref[1]))
     assert np.array_equal(gsq, ref[2])
@@ -222,7 +322,7 @@ def test_recorded_step_matches_the_reference_kernel_on_edge_grids(spec, blocks, 
     ws = _Workspace(g, c, kind)
     assert [(i0, i1) for i0, i1, *_ in ws.blocks] == blocks
     ref = ref_rhs_arrays(node_major(u0.values), g.hx, g.hy, c, kind)
-    for got, want in zip(_rhs_arrays(u0.values, ws), ref):
+    for got, want in zip(_rhs_arrays(u0.values, ws, True), ref):
         assert np.array_equal(got, want if want.ndim == 2 else component_major(want))
     cfg = fixed(g, c, 5, flow_kind=kind)
     out = sf.evolve(u0, c, cfg)
