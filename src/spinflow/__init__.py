@@ -15,7 +15,7 @@ from .flow import (BlowUpError, EvolveResult, FlowConfig, FlowState, cfl_dt,
 from .relax import RelaxResult, relax
 from .diagnostics import (ConcentrationReport, DiagnosticsLedger, LedgerRow,
                           detect_concentration, energy, energy_density, hopf,
-                          hopf_residual, local_energy, ps_norm, variation_lhs,
+                          hopf_residual, judge_row, local_energy, ps_norm, variation_lhs,
                           variation_rhs)
 from .config import ConfigError, RunConfig, load_config, parse_config
 

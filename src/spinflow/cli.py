@@ -15,7 +15,7 @@ import sys
 
 from . import __version__, checks, diagnostics, snapshots
 from .config import ConfigError, RunConfig, load_config
-from .domain import critical_points  # noqa: F401  (wrapped by name in perfbench/child.py)
+from .domain import critical_points
 from .flow import BlowUpError, evolve
 from .relax import relax
 
@@ -46,6 +46,8 @@ def _write_state(cfg: RunConfig, outdir: str, field, tag: str) -> None:
 def _evolve_and_report(cfg: RunConfig, outdir: str, stop_when=None):
     """Shared body of run and blowup-experiment: evolve the configured flow,
     then write the ledger, the final state and the concentration report.
+    The report judges the closing ledger row, or after a stop by stop_when (a
+    collapse) the density-peak row, the last state the grid resolved.
 
     Returns (exit code, EvolveResult, ConcentrationReport); the last two are
     None unless the exit code is EXIT_OK.  A blow-up or a non-finite energy
@@ -69,8 +71,11 @@ def _evolve_and_report(cfg: RunConfig, outdir: str, stop_when=None):
     if not all(math.isfinite(r.e_f) for r in ledger.rows):
         print("error: non-finite energy in the ledger", file=sys.stderr)
         return EXIT_NONFINITE, None, None
-    report = diagnostics.detect_concentration(ledger, state.field, cfg.coupling,
-                                              cfg.radii, cfg.eps_conc)
+    row = ledger.rows[-1]
+    if out.reason == "stopped":      # max keeps the first peak of a tie
+        row = max(ledger.rows, key=lambda r: r.max_density)
+    report = diagnostics.judge_row(ledger, row, cfg.grid, critical_points(cfg.coupling),
+                                   cfg.radii, cfg.eps_conc)
     _write_state(cfg, outdir, state.field, "final")
     if cfg["output.field_csv"]:
         snapshots.write_field_csv(os.path.join(outdir, "field_final.csv"), state.field)
@@ -123,8 +128,8 @@ def cmd_check(cfg: RunConfig, outdir: str) -> int:
 
 def cmd_blowup_experiment(cfg: RunConfig, outdir: str) -> int:
     """Canonical concentration experiment: evolve seeded data, stop at t_end
-    or when the density peak collapses through the grid, then test the final
-    argmax against the critical points of the coupling."""
+    or when the density peak collapses through the grid, then test the argmax
+    of the last resolved row against the critical points of the coupling."""
     collapse_fraction = cfg["experiment.collapse_fraction"]
     peak = {"value": 0.0}
 

@@ -1,5 +1,6 @@
 """Measurement machinery: energies, Hopf differential, variation formulas,
-defect norms, the diagnostics ledger and the concentration detector.
+defect norms, the diagnostics ledger, whose rows measure_row measures, and
+the concentration verdict on one row (judge_row).
 
 Energy convention: the ledger quantity is E = sum f |grad u|^2 dA (no 1/2).
 The domain-variation pair (variation_lhs / variation_rhs) uses the 1/2
@@ -148,12 +149,6 @@ def local_energy(field: SphereField, coupling: Coupling, p, r: float) -> float:
     """Energy inside the periodic disc B_r(p), boundary cells area-weighted."""
     return _local_energies(field.grid, energy_density(field, coupling), p,
                            validate_radii(field.grid, (r,)))[0]
-
-
-def _peak(grid: Grid, density: np.ndarray) -> tuple[tuple[float, float], float]:
-    """Location of the density argmax node and the density there."""
-    i, j = np.unravel_index(int(np.argmax(density)), grid.shape)
-    return (float(i * grid.hx), float(j * grid.hy)), float(density[i, j])
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +393,7 @@ def validate_radii(grid: Grid, radii) -> tuple[float, ...]:
 
 def measure_row(grid: Grid, coupling: Coupling, gsq: np.ndarray, *, t: float,
                 v_norm_sq: float, ps_norm: float, radii: tuple[float, ...],
-                crit: CriticalSet | None) -> LedgerRow:
+                crit: CriticalSet) -> LedgerRow:
     """Assemble one ledger row from a precomputed |grad u|^2 field, with the
     validated `radii` (validate_radii).  An overflowed density gives a
     non-finite E_f, which the caller reports, so overflow is not warned of."""
@@ -406,24 +401,22 @@ def measure_row(grid: Grid, coupling: Coupling, gsq: np.ndarray, *, t: float,
         density = coupling.values * gsq
     total = density.sum()
     e_f = float(total * grid.cell_area)
-    (ax, ay), peak = _peak(grid, density)
+    i, j = np.unravel_index(int(np.argmax(density)), grid.shape)
+    ax, ay = float(i * grid.hx), float(j * grid.hy)
     local = _local_energies(grid, density, (ax, ay), radii, total)
-    if crit is None or crit.everywhere:
-        dist = math.nan
-    else:
-        dist = crit.distance_to(ax, ay, grid)
+    dist = math.nan if crit.everywhere else crit.distance_to(ax, ay, grid)
     return LedgerRow(t=float(t), e_f=e_f, v_norm_sq=float(v_norm_sq),
-                     ps_norm=float(ps_norm), max_density=peak,
+                     ps_norm=float(ps_norm), max_density=float(density[i, j]),
                      argmax_x=ax, argmax_y=ay, local_e=local, dist_to_crit=dist)
 
 
 # ---------------------------------------------------------------------------
-# Concentration detector
+# Concentration verdict
 
 
 @dataclass(frozen=True)
 class ConcentrationReport:
-    """Outcome of the energy-concentration test on a final field plus ledger.
+    """Outcome of the energy-concentration test on one ledger row.
 
     detected is true when the local energy inside the smallest probe radius
     meets the threshold; the drift trajectory lists the density argmax over
@@ -474,36 +467,24 @@ class ConcentrationReport:
         return "\n".join(lines) + "\n"
 
 
-def detect_concentration(ledger: DiagnosticsLedger | None, field: SphereField,
-                         coupling: Coupling, radii, eps_conc: float) -> ConcentrationReport:
-    """Locate the energy-density argmax and test it for concentration.
-
-    radii must be strictly decreasing and above the grid resolution; the
-    concentration flag fires when the local energy inside the smallest radius
-    reaches eps_conc.  The report includes the nearest critical point of the
-    coupling with its periodic distance, or the distance to the nearest
-    critical line (omitted for constant couplings, where every point is
-    critical), and the argmax drift over the ledger.
-    """
-    grid = field.grid
-    radii = validate_radii(grid, radii)
-    if not radii:
-        raise ValueError("at least one probe radius is required")
-    density = energy_density(field, coupling)
-    loc, _ = _peak(grid, density)
-    profile = tuple(zip(radii, _local_energies(grid, density, loc, radii)))
-    detected = profile[-1][1] >= eps_conc
-
-    crit = critical_points(coupling)
-    nearest = None
-    kind = None
-    dist = None
+def judge_row(ledger: DiagnosticsLedger | None, row: LedgerRow, grid: Grid,
+              crit: CriticalSet, radii, eps_conc: float) -> ConcentrationReport:
+    """The concentration verdict on one ledger row measured at `radii`: the
+    flag fires when the local energy inside the smallest radius reaches
+    eps_conc.  The row gives the location, radius profile and critical
+    distance, and `crit`, the critical set of the coupling, the nearest
+    critical point (neither for a constant coupling, where every point is
+    critical); the ledger gives the argmax drift and limiting local energy."""
+    if not radii or len(radii) != len(row.local_e):
+        raise ValueError(f"need one local energy per probe radius {radii}, got {row.local_e}")
+    loc = (row.argmax_x, row.argmax_y)
+    profile = tuple(zip(radii, row.local_e))
+    nearest = kind = dist = None
     if not crit.everywhere:
-        dist = crit.distance_to(loc[0], loc[1], grid)
+        dist = row.dist_to_crit
         p = crit.nearest_point(loc[0], loc[1], grid)
         if p is not None:
-            nearest = (p.x, p.y)
-            kind = p.kind
+            nearest, kind = (p.x, p.y), p.kind
 
     drift: tuple = ()
     limiting = None
@@ -513,8 +494,22 @@ def detect_concentration(ledger: DiagnosticsLedger | None, field: SphereField,
             window = max(1, int(len(ledger.rows) * _LATE_WINDOW_FRACTION))
             limiting = min(r.local_e[-1] for r in ledger.rows[-window:])
     return ConcentrationReport(
-        detected=bool(detected), location=loc, radius_profile=profile,
+        detected=bool(profile[-1][1] >= eps_conc), location=loc, radius_profile=profile,
         eps_conc=float(eps_conc), everywhere_critical=crit.everywhere,
         limiting_local_energy=limiting, nearest_critical=nearest,
         nearest_critical_kind=kind, distance_to_critical=dist, drift=drift,
         critical_lines=crit.kind == "lines")
+
+
+def detect_concentration(ledger: DiagnosticsLedger | None, field: SphereField,
+                         coupling: Coupling, radii, eps_conc: float) -> ConcentrationReport:
+    """The verdict (judge_row) on the row measure_row records of `field`.
+
+    radii must be strictly decreasing and above the grid resolution.
+    """
+    grid = field.grid
+    radii = validate_radii(grid, radii)
+    crit = critical_points(coupling)
+    row = measure_row(grid, coupling, grad_squared(field), t=math.nan, v_norm_sq=math.nan,
+                      ps_norm=math.nan, radii=radii, crit=crit)
+    return judge_row(ledger, row, grid, crit, radii, eps_conc)

@@ -150,6 +150,13 @@ def _raise_blowup(bad: np.ndarray, failure: str, t: float, nstep: int):
         node=node, t=t, step=nstep)
 
 
+def _check_velocity(v: np.ndarray, v_sq: float, t: float, nstep: int) -> None:
+    """Raise BlowUpError at the first node where v is not finite; v_sq =
+    int |v|^2 is then not finite either, so only then are the nodes scanned."""
+    if not math.isfinite(v_sq) and not np.all(np.isfinite(v)):
+        _raise_blowup(~np.isfinite(v).all(axis=0), "non-finite velocity", t, nstep)
+
+
 def _project_unit(w: np.ndarray, t: float, nstep: int, norms: np.ndarray) -> np.ndarray:
     """Normalise each node of w in place by its norm |w| in `norms`; return w."""
     if not (norms.min() > 0.0 and math.isfinite(norms.max())):   # NaN fails both
@@ -228,10 +235,8 @@ def _steps(field: SphereField, coupling: Coupling, config: FlowConfig, dt: float
             rows = row_every > 0 and (n % row_every == 0 or n == budget)
             v, F, gsq = _rhs_arrays(u, ws, rows)
             v_sq = float(np.einsum("ijk,ijk->", v, v) * grid.cell_area)
-            # a non-finite entry makes the sum non-finite, so the nodewise
-            # scan runs only when the sum is
-            if n < budget and not math.isfinite(v_sq) and not np.all(np.isfinite(v)):
-                _raise_blowup(~np.isfinite(v).all(axis=0), "non-finite velocity", t, n0 + n)
+            if n < budget:
+                _check_velocity(v, v_sq, t, n0 + n)
             yield n, t, u, v, F, grad_sq, v_sq
             if n < budget:
                 u = _apply_step(u, v_sq, t, n0 + n, ws)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .domain import Coupling
 from .field import SphereField
-from .flow import FlowConfig, _sphere_field, _steps, cfl_dt
+from .flow import BlowUpError, FlowConfig, FlowState, _check_velocity, _sphere_field, _steps, cfl_dt
 from .flow import _project_unit  # noqa: F401  (wrapped by name in perfbench/child.py)
 from .operators import _rhs_arrays  # noqa: F401  (wrapped by name in perfbench/child.py)
 
@@ -44,7 +44,13 @@ def relax(initial: SphereField, coupling: Coupling, tol: float,
     dt = cfl_dt(initial.grid, coupling, safety)
     config = FlowConfig(flow_kind="gradient", safety=safety)
     history = []
-    for n, _, u, _, _, _, v_sq in _steps(initial, coupling, config, dt, max_steps):
+    for n, t, u, v, _, _, v_sq in _steps(initial, coupling, config, dt, max_steps):
+        if n == max_steps:     # _steps leaves its terminal iterate unchecked
+            try:
+                _check_velocity(v, v_sq, t, n)
+            except BlowUpError as err:
+                err.state = FlowState(_sphere_field(initial, u), t=t, step=n)
+                raise
         ps = math.sqrt(v_sq)     # on the gradient flow the velocity is the defect
         history.append(ps)
         if n == 0 or ps < best_ps:

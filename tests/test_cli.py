@@ -2,12 +2,13 @@
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
 import spinflow as sf
-from spinflow import checks, cli, snapshots
+from spinflow import checks, cli, diagnostics, snapshots
 
 NOOP = """\
 grid.nx = 32
@@ -166,6 +167,22 @@ class TestRun:
         assert (tmp_path / "a" / "ledger.csv").read_bytes() \
             == (tmp_path / "b" / "ledger.csv").read_bytes()
 
+    def test_measures_each_state_once(self, tmp_path, monkeypatch):
+        # the report judges the closing ledger row instead of measuring the
+        # final state again
+        calls = []
+        local_energies = diagnostics._local_energies
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return local_energies(*args, **kwargs)
+
+        monkeypatch.setattr(diagnostics, "_local_energies", counted)
+        cfgpath = write_config(tmp_path, BUBBLE_LL)
+        assert cli.main(["run", cfgpath, "-o", str(tmp_path / "out")]) == cli.EXIT_OK
+        rows = (tmp_path / "out" / "ledger.csv").read_text().strip().split("\n")[1:]
+        assert len(calls) == len(rows) > 1
+
     def test_snapshot_cadence_files(self, tmp_path):
         text = BUBBLE_LL.replace("flow.t_end = 0.0015", "flow.t_end = 0.0004") \
                         + "flow.snapshot_every = 3\n"
@@ -201,16 +218,24 @@ class TestRelaxCommand:
         assert cli.main(["relax", cfgpath, "-o", str(tmp_path / "out")]) \
             == cli.EXIT_NOT_CONVERGED
 
-    def test_nonfinite_defect_exits_blowup(self, tmp_path):
+    # max_steps = 0 makes the initial iterate the last one
+    @pytest.mark.parametrize("max_steps", ["", "relax.max_steps = 0\n"],
+                             ids=["default", "max_steps_0"])
+    def test_nonfinite_defect_exits_blowup(self, tmp_path, capsys, max_steps):
         # f = 1e308 overflows the initial defect: a blow-up, not a slow relaxation
         text = NOOP.replace("grid.nx = 32\ngrid.ny = 32", "grid.nx = 16\ngrid.ny = 16") \
                    .replace("coupling.kind = constant",
                             "coupling.kind = constant\ncoupling.value = 1e308") \
                    .replace("initial.kind = constant",
-                            "initial.kind = bubble\ninitial.scale = 0.1")
+                            "initial.kind = bubble\ninitial.scale = 0.1") + max_steps
         cfgpath = write_config(tmp_path, text)
         out = tmp_path / "out"
-        assert cli.main(["relax", cfgpath, "-o", str(out)]) == cli.EXIT_BLOWUP
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(["relax", cfgpath, "-o", str(out)]) == cli.EXIT_BLOWUP
+        assert caught == []
+        assert capsys.readouterr().err == ("error: blow-up under-resolved: non-finite "
+                                           "velocity at node (0, 5), t = 0.0, step = 0\n")
         assert not (out / "snapshot_final.bin").exists()
 
 
@@ -254,6 +279,36 @@ class TestBlowupExperiment:
         assert "detected = true" in report
         assert "initial_distance" in report and "final_distance" in report
         assert "drift_t" in report
+
+    def test_collapse_stop_judges_the_peak_row(self, tmp_path):
+        # the gradient flow shrinks a small bubble through the 48^2 grid: the
+        # run stops on the collapse, whose closing row (t ~ 0.0154) no longer
+        # holds the bubble energy, so the verdict is taken at the density
+        # peak, the last resolved state (t ~ 0.0136)
+        text = BUBBLE_LL.replace("grid.nx = 32\ngrid.ny = 32", "grid.nx = 48\ngrid.ny = 48") \
+                        .replace("initial.scale = 0.12", "initial.scale = 0.05") \
+                        .replace("flow.kind = landau-lifshitz", "flow.kind = gradient") \
+                        .replace("flow.t_end = 0.0015", "flow.t_end = 0.1") \
+                        .replace("flow.diagnostic_every = 10", "flow.diagnostic_every = 50") \
+                        .replace("radii = 0.2, 0.1", "radii = 0.15, 0.1, 0.06") \
+                        .replace("diagnostics.eps_conc = 4.0", "diagnostics.eps_conc = 6.0")
+        cfgpath = write_config(tmp_path, text)
+        out = tmp_path / "out"
+        assert cli.main(["blowup-experiment", cfgpath, "-o", str(out)]) == cli.EXIT_OK
+        report = dict(line.split(" = ") for line in
+                      (out / "report.txt").read_text().strip().split("\n"))
+        assert report["stop_reason"] == "stopped"
+        assert report["detected"] == "true"
+        lines = (out / "ledger.csv").read_text().strip().split("\n")
+        ledger = [dict(zip(lines[0].split(","), map(float, r.split(",")))) for r in lines[1:]]
+        peak = max(ledger, key=lambda r: r["max_density"])
+        assert peak is not ledger[-1]
+        assert float(report["location_x"]) == peak["argmax_x"]
+        assert float(report["location_y"]) == peak["argmax_y"]
+        for k in (1, 2, 3):
+            assert float(report[f"local_energy_{k}"]) == peak[f"local_E_r{k}"]
+        # the closing row, the state after the collapse, still gives the final distance
+        assert float(report["final_distance"]) == ledger[-1]["dist_to_crit"]
 
     def test_no_concentration_is_inconclusive(self, tmp_path):
         text = BUBBLE_LL.replace(

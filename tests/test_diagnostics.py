@@ -475,21 +475,43 @@ class TestDetectConcentration:
         text = report.to_text()
         assert "drift_t = " in text and "limiting_local_energy" in text
 
-    @pytest.mark.parametrize("kind", ["gradient", "landau_lifshitz"])
-    def test_matches_terminal_ledger_row(self, grid64, kind):
+    # every way a run ends: |v|^2 falls through 552.25 first at step 10, off
+    # the 7-step cadence, and the stop fires at the first cadence row past 10 dt
+    @pytest.mark.parametrize("kind, tol, stop_after, reason, steps", [
+        ("gradient", 0.0, None, "t_end", 30),
+        ("landau_lifshitz", 0.0, None, "t_end", 30),
+        ("gradient", 23.5, None, "stationary", 10),
+        ("landau_lifshitz", 0.0, 10, "stopped", 14),
+    ], ids=["gradient", "landau_lifshitz", "stationary", "stopped"])
+    def test_matches_terminal_ledger_row(self, grid64, kind, tol, stop_after, reason, steps):
         c = cosine_coupling(grid64)
         u0 = sf.bubble_field(grid64, (0.7, 0.5), 0.1)
         dt = sf.cfl_dt(grid64, c, 0.25)
         radii = (0.2, 0.1, 0.05)
         cfg = sf.FlowConfig(flow_kind=kind, dt_policy="fixed", dt=dt, t_end=30 * dt,
-                            diagnostic_every=7, stationarity_tol=0.0)
-        out = sf.evolve(u0, c, cfg, radii=radii)
+                            diagnostic_every=7, stationarity_tol=tol)
+        stop_when = None if stop_after is None else (lambda row: row.t > stop_after * dt)
+        out = sf.evolve(u0, c, cfg, radii=radii, stop_when=stop_when)
+        assert (out.reason, out.state.step) == (reason, steps)
         last = out.ledger.rows[-1]
         assert last.t == out.state.t
         report = sf.detect_concentration(out.ledger, out.state.field, c, radii,
                                          eps_conc=5.0)
         assert report.location == (last.argmax_x, last.argmax_y)
         assert report.radius_profile == tuple(zip(radii, last.local_e))
+        # the verdict on the closing row is the whole report on the final field
+        assert sf.judge_row(out.ledger, last, grid64, sf.critical_points(c), radii,
+                            5.0) == report
+
+    def test_judge_row_needs_one_local_energy_per_radius(self, grid64):
+        c = cosine_coupling(grid64)
+        u = sf.bubble_field(grid64, (0.7, 0.5), 0.05)
+        crit = sf.critical_points(c)
+        row = measure_row(grid64, c, sf.grad_squared(u), t=0.0, v_norm_sq=0.0, ps_norm=0.0,
+                          radii=(0.2, 0.1), crit=crit)
+        for radii in ((), (0.2,), (0.2, 0.1, 0.05)):
+            with pytest.raises(ValueError, match="one local energy per probe radius"):
+                sf.judge_row(None, row, grid64, crit, radii, 5.0)
 
     def test_validate_radii_helper(self, grid64):
         assert validate_radii(grid64, (0.2, 0.1)) == (0.2, 0.1)

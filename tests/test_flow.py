@@ -349,10 +349,13 @@ class TestBlowUpNode:
         assert exc.value.node == self.NODE
         assert exc.value.state.field.values.shape == (3,) + g.shape
 
-    def test_relax(self):
+    # max_steps = 0: the initial iterate is the last one, which the stepping
+    # loop yields unchecked
+    @pytest.mark.parametrize("max_steps", [10, 0])
+    def test_relax(self, max_steps):
         g, c, u = self.planted()
         with pytest.raises(sf.BlowUpError) as exc:
-            sf.relax(u, c, tol=1e-8, max_steps=10)
+            sf.relax(u, c, tol=1e-8, max_steps=max_steps)
         err = exc.value
         assert err.node == self.NODE
         # the same contract as evolve: the last valid state, its step and t
