@@ -13,6 +13,7 @@ which the one projection removes.  Only its row variant forms |grad u|^2.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,13 +67,23 @@ def _cross(call, a: np.ndarray, b: np.ndarray, out: np.ndarray, tmp: np.ndarray)
     return out
 
 
+def _aligned(shape: tuple[int, ...]) -> np.ndarray:
+    """An uninitialised float64 array of `shape` whose data starts on a
+    64-byte (cache-line) boundary: a view of a buffer 64 bytes longer."""
+    n = math.prod(shape)
+    buf = np.empty(n + 8)
+    skip = -buf.ctypes.data % 64 // 8
+    return buf[skip:skip + n].reshape(shape)
+
+
 #: x-rows are processed in blocks of at most this many nodes, so that the
 #: planes one block touches stay near the 2 MiB L2 cache of a core: 64^2
 #: and 128^2 run as one block, 256^2 as four.  On a 2-core Xeon, in
-#: interleaved in-process rounds of the recorded step, the 128^2 LL step
-#: took a median 0.95 ms against 1.05 ms in blocks of 8,192 nodes and 1.40
-#: ms in 4,096, and the 256^2 gradient step 3.9 ms against 6.0 ms in 8,192
-#: and 5.2 ms in 32,768.
+#: interleaved in-process rounds of the recorded step on aligned arrays
+#: (two sets), the 128^2 LL step took a median 0.57-0.64 ms against
+#: 0.60-0.67 ms in blocks of 8,192 nodes and 0.81-0.85 ms in 4,096, and
+#: the 256^2 gradient step 2.43-2.44 ms against 2.43-2.49 ms in 8,192 and
+#: 2.85-2.91 ms in 32,768.
 BLOCK_NODES = 16_384
 
 
@@ -82,7 +93,7 @@ def _row_blocks(shape: tuple[int, int], vectors: int) -> list[tuple]:
     views of buffers sized for the largest block."""
     nx, ny = shape
     rows = max(1, min(nx, BLOCK_NODES // ny))
-    scratch = np.empty((vectors, 3 * rows * ny))
+    scratch = _aligned((vectors, 3 * rows * ny))
     blocks = []
     for i0 in range(0, nx, rows):
         i1 = min(i0 + rows, nx)
@@ -108,19 +119,26 @@ class _Workspace:
     writes |grad u|^2 too, and one in `step`, which writes u + dt velocity
     (dt: the 0-d array `dt`) into the other state buffer, its norms into d.
 
+    Every array (and each padded buffer) starts on a 64-byte cache line,
+    where numpy aligns only to 16 bytes: numpy's AVX-512 loops load 64 bytes
+    at a time, and an array that starts off a line splits each such load
+    across two lines.  On a 2-core AVX-512 Xeon the 128^2 LL rhs + step took
+    a median 0.62-0.66 ms with arrays at 16, 32 or 48 mod 64 and 0.46-0.48
+    ms aligned.
+
     Whoever holds the workspace owns these arrays: the next evaluation
     overwrites v, F and the scratch, and each step the other state buffer.
     """
 
     def __init__(self, grid: Grid, coupling: Coupling, kind: str):
         nx, ny = grid.shape
-        self.v = np.empty((3, nx, ny))
-        self.F = np.empty((3, nx, ny))
-        self.gsq, self.d, self.tmp = np.empty((3, nx, ny))
+        self.v = _aligned((3, nx, ny))
+        self.F = _aligned((3, nx, ny))
+        self.gsq, self.d, self.tmp = (_aligned((nx, ny)) for _ in range(3))
         self.dt = np.zeros(())
         self.velocity = self.F if kind == "gradient" else self.v
         self.blocks = _row_blocks(grid.shape, 1)
-        pads = np.empty((2, 3, (nx + 2) * ny))
+        pads = [_aligned((3, (nx + 2) * ny)) for _ in range(2)]
         self.states = tuple(p.reshape(3, nx + 2, ny)[:, 1:-1] for p in pads)
         self.rhs, self.row_rhs = ([self._record_rhs(p, grid, coupling, kind, rows) for p in pads]
                                   for rows in (False, True))

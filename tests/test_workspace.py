@@ -218,6 +218,46 @@ def test_uneven_grid_runs_as_two_blocks():
     assert [(i0, i1) for i0, i1, *_ in ws.blocks] == [(0, 126), (126, 160)]
 
 
+@pytest.mark.parametrize("spec", [(64, 64, 1.0, 1.0), (128, 128, 1.0, 1.0),
+                                  (256, 256, 1.0, 1.0), UNEVEN],
+                         ids=["64x64", "128x128", "256x256", "160x130"])
+def test_workspace_arrays_start_on_a_cache_line(spec):
+    # numpy aligns array data to 16 bytes only; an AVX-512 loop loads 64
+    # bytes at a time, so an array that starts off a cache line splits every
+    # load across two lines.  Where ny % 8 == 0 every plane, state view and
+    # block of x-rows starts on a cache line too
+    g = sf.make_grid(*spec)
+    ws = _Workspace(g, cosine_coupling(g), "gradient")
+    planes = (ws.gsq, ws.d, ws.tmp)
+    vectors = (ws.v, ws.F) + ws.states
+    scratch = tuple(uy for *_, uy in ws.blocks)
+    starts = [a.ctypes.data for a in (ws.v, ws.F) + planes + scratch]
+    starts += [u.ctypes.data - u.strides[1] for u in ws.states]   # each buffer's first halo row
+    if g.ny % 8 == 0:
+        starts += [a[k].ctypes.data for a in vectors + scratch for k in range(3)]
+        starts += [a[..., i0:i1, :].ctypes.data for i0, i1, _ in ws.blocks for a in vectors + planes]
+    assert [s % 64 for s in starts] == [0] * len(starts)
+
+
+def test_workspace_allocates_at_most_a_cache_line_per_array_beyond_its_arrays():
+    # at 256^2: v, F, gsq, d, tmp, dt, two padded buffers and the block
+    # scratch; the alignment costs at most 64 B each, so the peak RSS stays level
+    g = sf.make_grid(256, 256, 1.0, 1.0)
+    c = cosine_coupling(g)
+    data = [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.take_snapshot().filter_traces(data)
+        ws = _Workspace(g, c, "gradient")
+        after = tracemalloc.take_snapshot().filter_traces(data)
+    finally:
+        tracemalloc.stop()
+    allocated = sum(s.size_diff for s in after.compare_to(before, "filename"))
+    arrays = [ws.v, ws.F, ws.gsq, ws.d, ws.tmp, ws.dt, ws.blocks[0][2]]
+    pads = 2 * 3 * (g.nx + 2) * g.ny * 8
+    assert allocated <= sum(a.nbytes for a in arrays) + pads + 64 * (len(arrays) + 2)
+
+
 @pytest.mark.parametrize("kind", ["gradient", "landau_lifshitz"])
 def test_blocks_match_the_reference_kernel(kind):
     g = sf.make_grid(*UNEVEN)
