@@ -6,9 +6,12 @@ TangentField are re-projected onto the tangent plane of the paired sphere
 field, so the per-node orthogonality invariant holds at machine precision
 rather than merely at stencil order.
 
-The flow right-hand side forms the defect as P_u(f lap u + grad f . grad u):
-at |u| = 1, f*tau(u) differs from f lap u by the normal f |grad u|^2 u,
-which the one projection removes.  Only its row variant forms |grad u|^2.
+The flow right-hand side forms the defect as P_u(G), G = f lap u +
+grad f . grad u = div(f grad u) in its 5-point form: one weighted sum of
+neighbour differences, G = (1 / hx^2) sum_k W_k (u_k - u), whose per-node
+weights W fold the coupling in once per run.  At |u| = 1, f*tau(u) differs
+from f lap u by the normal f |grad u|^2 u, which the one projection removes.
+Only its row variant forms |grad u|^2.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import (Coupling, Grid, _dot, _eager, _grad_arrays, _grad_rows, _Pad, _pad_rows,
-                     _Plan, _readonly, _stencil, _stencil_rows)
+                     _Plan, _readonly, _stencil)
 from .field import SphereField
 
 
@@ -67,6 +70,27 @@ def _cross(call, a: np.ndarray, b: np.ndarray, out: np.ndarray, tmp: np.ndarray)
     return out
 
 
+def _weighted_differences(call, pad: _Pad, W: np.ndarray, scale: float, out: np.ndarray,
+                          tmp: np.ndarray) -> np.ndarray:
+    """scale * sum_k W[k] (a_k - a) over the x+1, x-1, y+1 and y-1
+    neighbours a_k of the rows held by `pad`, summed in that order into
+    `out`, with `tmp` for each term; W is (4,) + the rows' shape."""
+    c, *neighbours = pad.views
+    _, c_1, c0, _ = pad.columns
+    call(np.subtract, neighbours[0], c, out)
+    call(np.multiply, out, W[0], out)
+    for k in (1, 2, 3):
+        call(np.subtract, neighbours[k], c, tmp)
+        if k == 2:      # y+1 of the last column is the row's first
+            call(np.subtract, c0, c_1, tmp[..., -1])
+        elif k == 3:    # y-1 of the first column is the row's last
+            call(np.subtract, c_1, c0, tmp[..., 0])
+        call(np.multiply, tmp, W[k], tmp)
+        call(np.add, out, tmp, out)
+    call(np.multiply, out, scale, out)
+    return out
+
+
 def _aligned(shape: tuple[int, ...]) -> np.ndarray:
     """An uninitialised float64 array of `shape` whose data starts on a
     64-byte (cache-line) boundary: a view of a buffer 64 bytes longer."""
@@ -79,26 +103,19 @@ def _aligned(shape: tuple[int, ...]) -> np.ndarray:
 #: x-rows are processed in blocks of at most this many nodes, so that the
 #: planes one block touches stay near the 2 MiB L2 cache of a core: 64^2
 #: and 128^2 run as one block, 256^2 as four.  On a 2-core Xeon, in
-#: interleaved in-process rounds of the recorded step on aligned arrays
-#: (two sets), the 128^2 LL step took a median 0.57-0.64 ms against
-#: 0.60-0.67 ms in blocks of 8,192 nodes and 0.81-0.85 ms in 4,096, and
-#: the 256^2 gradient step 2.43-2.44 ms against 2.43-2.49 ms in 8,192 and
-#: 2.85-2.91 ms in 32,768.
+#: interleaved in-process rounds of the recorded rhs + step (two sets of
+#: 12), the 128^2 LL step took a median 0.42-0.46 ms against 0.45-0.50 ms
+#: in blocks of 8,192 nodes, and the 256^2 gradient step 1.79-1.85 ms
+#: against 1.82-1.83 ms in 8,192 and 2.15-2.17 ms in 32,768.
 BLOCK_NODES = 16_384
 
 
-def _row_blocks(shape: tuple[int, int], vectors: int) -> list[tuple]:
-    """(i0, i1, *scratch) per block of x-rows i0 <= i < i1 of a (3, nx, ny)
-    array: `vectors` vector scratch arrays shaped like the block's rows,
-    views of buffers sized for the largest block."""
+def _row_blocks(shape: tuple[int, int]) -> list[tuple[int, int]]:
+    """(i0, i1) per block of x-rows i0 <= i < i1 of an (nx, ny) grid; the
+    first block is the largest."""
     nx, ny = shape
     rows = max(1, min(nx, BLOCK_NODES // ny))
-    scratch = _aligned((vectors, 3 * rows * ny))
-    blocks = []
-    for i0 in range(0, nx, rows):
-        i1 = min(i0 + rows, nx)
-        blocks.append((i0, i1, *(a[:3 * (i1 - i0) * ny].reshape(3, i1 - i0, ny) for a in scratch)))
-    return blocks
+    return [(i0, min(i0 + rows, nx)) for i0 in range(0, nx, rows)]
 
 
 class _Workspace:
@@ -108,16 +125,22 @@ class _Workspace:
     operators when the workspace is made.
 
     The arrays are v, F and |grad u|^2, two per-node scratch planes d and
-    tmp, and `blocks`, (i0, i1, u_y scratch) per block of x-rows
-    i0 <= i < i1.  `states` are two (3, nx, ny) views of padded buffers that
-    store each plane flat between two halo x-rows, as a _Pad does, so the
-    stencil reads its neighbours from the state itself.  `velocity` is F on
-    the gradient flow and v (LL) on any other kind.  Per state buffer the
-    workspace records, for the run's grid, coupling and flow kind, one plan
-    in `rhs`, which refreshes the halo rows and writes v, F and the
-    stencil's scratch block by block, its row variant in `row_rhs`, which
-    writes |grad u|^2 too, and one in `step`, which writes u + dt velocity
-    (dt: the 0-d array `dt`) into the other state buffer, its norms into d.
+    tmp, and the read-only (4, nx, ny) stencil weights W of the run's
+    coupling: per node, in units of hx^2, f + (hx/2) f_x and f - (hx/2) f_x
+    for the x+1 and x-1 neighbours, (hx/hy)^2 f + (hx^2/(2 hy)) f_y and
+    (hx/hy)^2 f - (hx^2/(2 hy)) f_y for the y+1 and y-1 neighbours, so that
+    f lap u + grad f . grad u = (1 / hx^2) sum_k W_k (u_k - u).  `blocks` are
+    the (i0, i1) of the blocks of x-rows i0 <= i < i1 that the right-hand
+    side runs through.  `states` are two (3, nx, ny) views of padded buffers
+    that store each plane flat between two halo x-rows, as a _Pad does, so
+    the stencil reads its neighbours from the state itself.  `velocity` is
+    F on the gradient flow and v (LL) on any other kind; on the gradient
+    flow v is only the stencil's scratch, one block in size.  Per state
+    buffer the workspace records, for the run's grid, coupling and flow
+    kind, one plan in `rhs`, which refreshes the halo rows and writes v and
+    F block by block, its row variant in `row_rhs`, which writes |grad u|^2
+    too, and one in `step`, which writes u + dt velocity (dt: the 0-d array
+    `dt`) into the other state buffer, its norms into d.
 
     Every array (and each padded buffer) starts on a 64-byte cache line,
     where numpy aligns only to 16 bytes: numpy's AVX-512 loops load 64 bytes
@@ -132,15 +155,16 @@ class _Workspace:
 
     def __init__(self, grid: Grid, coupling: Coupling, kind: str):
         nx, ny = grid.shape
-        self.v = _aligned((3, nx, ny))
+        self.blocks = _row_blocks(grid.shape)
+        self.v = _aligned((3, self.blocks[0][1] if kind == "gradient" else nx, ny))
         self.F = _aligned((3, nx, ny))
         self.gsq, self.d, self.tmp = (_aligned((nx, ny)) for _ in range(3))
+        self.W = self._weights(grid, coupling)
         self.dt = np.zeros(())
         self.velocity = self.F if kind == "gradient" else self.v
-        self.blocks = _row_blocks(grid.shape, 1)
         pads = [_aligned((3, (nx + 2) * ny)) for _ in range(2)]
         self.states = tuple(p.reshape(3, nx + 2, ny)[:, 1:-1] for p in pads)
-        self.rhs, self.row_rhs = ([self._record_rhs(p, grid, coupling, kind, rows) for p in pads]
+        self.rhs, self.row_rhs = ([self._record_rhs(p, grid, kind, rows) for p in pads]
                                   for rows in (False, True))
         self.step = [self._record_step(u, w) for u, w in zip(self.states, self.states[::-1])]
 
@@ -153,30 +177,42 @@ class _Workspace:
             np.copyto(self.states[0], u)
         return 0
 
-    def _record_rhs(self, pad: np.ndarray, grid: Grid, coupling: Coupling, kind: str,
-                    rows: bool) -> _Plan:
+    def _weights(self, grid: Grid, coupling: Coupling) -> np.ndarray:
+        """The read-only stencil weights W, written in place (d holds
+        (hx/hy)^2 f), so no temporary is made."""
+        hx, hy = grid.hx, grid.hy
+        f, W = coupling.values, _aligned((4,) + grid.shape)
+        np.multiply(coupling.grad_x, 0.5 * hx, W[0])
+        np.subtract(f, W[0], W[1])
+        np.add(f, W[0], W[0])
+        np.multiply(f, (hx / hy) ** 2, self.d)
+        np.multiply(coupling.grad_y, 0.5 * hx * hx / hy, W[3])
+        np.add(self.d, W[3], W[2])
+        np.subtract(self.d, W[3], W[3])
+        return _readonly(W)
+
+    def _record_rhs(self, pad: np.ndarray, grid: Grid, kind: str, rows: bool) -> _Plan:
         (nx, ny), hx, hy = grid.shape, grid.hx, grid.hy
         plan, padded = _Plan(), pad.reshape(3, nx + 2, ny)
         u = padded[:, 1:-1]
         plan(np.copyto, padded[:, 0], padded[:, nx])       # the halo rows: x-rows nx - 1 and 0
         plan(np.copyto, padded[:, nx + 1], padded[:, 1])
-        for i0, i1, uy in self.blocks:
-            ub, F, ux = u[:, i0:i1], self.F[:, i0:i1], self.v[:, i0:i1]
+        for i0, i1 in self.blocks:
+            ub, F = u[:, i0:i1], self.F[:, i0:i1]
+            s = self.v[:, :i1 - i0] if kind == "gradient" else self.v[:, i0:i1]
             d, tmp = self.d[i0:i1], self.tmp[i0:i1]
-            _stencil_rows(plan, _Pad(pad[:, i0 * ny:(i1 + 2) * ny], ny), hx, hy, ux, uy, F)
+            bpad = _Pad(pad[:, i0 * ny:(i1 + 2) * ny], ny)
             if rows:
+                # u_y goes into F, which is free until the sum is formed
+                ux, uy = _grad_rows(plan, bpad, hx, hy, s, F)
                 gsq = _dot(ux, ux, self.gsq[i0:i1], tmp, plan)
                 plan(np.add, gsq, _dot(uy, uy, d, tmp, plan), gsq)
-            plan(np.multiply, F, coupling.values[i0:i1], F)
-            plan(np.multiply, ux, coupling.grad_x[i0:i1], ux)
-            plan(np.add, F, ux, F)
-            plan(np.multiply, uy, coupling.grad_y[i0:i1], uy)
-            plan(np.add, F, uy, F)
+            _weighted_differences(plan, bpad, self.W[:, i0:i1], 1.0 / (hx * hx), F, s)
             _project(plan, F, ub, d, tmp)
             if kind != "gradient":
-                # the block's LL velocity goes where u_x was
-                _cross(plan, ub, F, ux, tmp)
-                plan(np.add, ux, F, ux)
+                # the block's LL velocity goes where the scratch was
+                _cross(plan, ub, F, s, tmp)
+                plan(np.add, s, F, s)
         return plan
 
     def _record_step(self, u: np.ndarray, w: np.ndarray) -> _Plan:
@@ -197,15 +233,16 @@ def grad_squared(field: SphereField) -> np.ndarray:
     block by block of x-rows, so no full-grid gradient is built."""
     u, g = field.values, field.grid
     gsq = np.empty(g.shape)
-    blocks = _row_blocks(g.shape, 2)
+    blocks = _row_blocks(g.shape)
     rows = blocks[0][1]                             # the first block is the largest
     pad = np.empty(3 * (rows + 2) * g.ny)
+    ux, uy = np.empty((2, 3, rows, g.ny))
     d, tmp = np.empty((2, rows, g.ny))
-    for i0, i1, ux, uy in blocks:
-        _grad_rows(_eager, _pad_rows(u, i0, i1, pad), g.hx, g.hy, ux, uy)
+    for i0, i1 in blocks:
         b = i1 - i0
-        _dot(ux, ux, gsq[i0:i1], tmp[:b])
-        gsq[i0:i1] += _dot(uy, uy, d[:b], tmp[:b])
+        bx, by = _grad_rows(_eager, _pad_rows(u, i0, i1, pad), g.hx, g.hy, ux[:, :b], uy[:, :b])
+        _dot(bx, bx, gsq[i0:i1], tmp[:b])
+        gsq[i0:i1] += _dot(by, by, d[:b], tmp[:b])
     return gsq
 
 
@@ -217,8 +254,8 @@ def laplacian(field: SphereField) -> np.ndarray:
 def _rhs_arrays(u: np.ndarray, ws: _Workspace, rows: bool = False
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Shared core: flow velocity v, defect F = P_u(f lap u + grad f . grad u)
-    and, with `rows`, |grad u|^2 (else None), all from one stencil
-    evaluation, for a component-major (3, nx, ny) u, which need not be
+    and, with `rows`, |grad u|^2 (else None), all from one pass over the
+    blocks of x-rows, for a component-major (3, nx, ny) u, which need not be
     exactly unit-norm, under the grid, coupling and flow kind of `ws`; for
     the gradient flow v is F.
 

@@ -1,17 +1,20 @@
 """The component-major stencil core against a node-major np.roll/einsum
 kernel, kept here as the reference.
 
-The reference forms the defect as the step does, F = P_u(f lap u +
-grad f . grad u), so v, F and |grad u|^2 must be equal bit for bit.  Only
-full-grid sums over a component-major array accumulate in another order;
-those are held to a relative bound fixed beforehand from the float64
-epsilon (2.2e-16) and the grid size.
+The reference forms the defect as the step does, F = P_u(G) with G the
+weighted 5-point difference sum (1 / hx^2) sum_k W_k (u_k - u), whose
+per-node weights fold in the coupling, so v, F and |grad u|^2 must be equal
+bit for bit.  Only full-grid sums over a component-major array accumulate
+in another order; those are held to a relative bound fixed beforehand from
+the float64 epsilon (2.2e-16) and the grid size.
 
-A second oracle keeps the defect as written with the tension,
-F = P_u(f tau(u) + grad f . grad u), tau = P_u(lap u + |grad u|^2 u).  On
-unit-norm input the two differ only by rounding in the normal term
-f |grad u|^2 u that the projection removes; off the sphere P_u is no
-projection and they differ by more.
+Two more oracles keep the defect as written before the weights: with the
+Laplacian, F = P_u(f lap u + grad f . grad u), the same G summed in another
+order, and with the tension, F = P_u(f tau(u) + grad f . grad u),
+tau = P_u(lap u + |grad u|^2 u).  On unit-norm input each differs from the
+weighted sum only by rounding (in the tension's case also in the normal term
+f |grad u|^2 u that the projection removes); off the sphere P_u is no
+projection and the tension form differs by more.
 """
 
 import numpy as np
@@ -27,7 +30,8 @@ from conftest import blob_field, cosine_coupling
 #: relative bound on a reordered full-grid float64 sum of positive terms
 SUM_RTOL = 1e-12
 
-#: bound on |F - F_tension|, relative to max |F|, on unit-norm input
+#: bound on |F - F_old|, relative to max |F|, on unit-norm input, for either
+#: earlier formula (Laplacian or tension)
 FORMULA_RTOL = 1e-13
 
 
@@ -36,11 +40,14 @@ FORMULA_RTOL = 1e-13
 # einsum dot products
 
 
+def ref_neighbours(a):
+    """The x+1, x-1, y+1 and y-1 neighbours of every node."""
+    return (np.roll(a, -1, axis=0), np.roll(a, 1, axis=0),
+            np.roll(a, -1, axis=1), np.roll(a, 1, axis=1))
+
+
 def ref_stencil(a, hx, hy):
-    xp = np.roll(a, -1, axis=0)
-    xm = np.roll(a, 1, axis=0)
-    yp = np.roll(a, -1, axis=1)
-    ym = np.roll(a, 1, axis=1)
+    xp, xm, yp, ym = ref_neighbours(a)
     ax = (xp - xm) * (0.5 / hx)
     ay = (yp - ym) * (0.5 / hy)
     lap = (xp + xm - 2.0 * a) * (1.0 / (hx * hx)) + (yp + ym - 2.0 * a) * (1.0 / (hy * hy))
@@ -63,15 +70,33 @@ def ref_cross(a, b):
     return out
 
 
-def ref_rhs_arrays(u, hx, hy, coupling, kind, tension=False):
-    """(v, F, |grad u|^2) with F = P_u(f lap u + grad f . grad u), or with
-    `tension` the second oracle's F = P_u(f tau(u) + grad f . grad u)."""
+def ref_weights(coupling, hx, hy):
+    """The per-node weights of the x+1, x-1, y+1 and y-1 neighbours, in
+    units of hx^2: f +- (hx/2) f_x and (hx/hy)^2 f +- (hx^2/(2 hy)) f_y."""
+    f = coupling.values
+    wx = coupling.grad_x * (0.5 * hx)
+    fy = f * (hx / hy) ** 2
+    wy = coupling.grad_y * (0.5 * hx * hx / hy)
+    return f + wx, f - wx, fy + wy, fy - wy
+
+
+def ref_rhs_arrays(u, hx, hy, coupling, kind, formula="weighted"):
+    """(v, F, |grad u|^2) with F = P_u(G): with formula "weighted" G is
+    ((((xp - u) W0 + (xm - u) W1) + (yp - u) W2) + (ym - u) W3) (1 / hx^2),
+    with "laplacian" f lap u + grad f . grad u and with "tension"
+    f tau(u) + grad f . grad u."""
     ux, uy, lap = ref_stencil(u, hx, hy)
     gsq = ref_dot(ux, ux) + ref_dot(uy, uy)
-    if tension:
-        lap = ref_project(lap + gsq[..., None] * u, u)
-    F = coupling.values[..., None] * lap \
-        + coupling.grad_x[..., None] * ux + coupling.grad_y[..., None] * uy
+    if formula == "weighted":
+        xp, xm, yp, ym = ref_neighbours(u)
+        W0, W1, W2, W3 = (w[..., None] for w in ref_weights(coupling, hx, hy))
+        F = ((((xp - u) * W0 + (xm - u) * W1) + (yp - u) * W2) + (ym - u) * W3) \
+            * (1.0 / (hx * hx))
+    else:
+        if formula == "tension":
+            lap = ref_project(lap + gsq[..., None] * u, u)
+        F = coupling.values[..., None] * lap \
+            + coupling.grad_x[..., None] * ux + coupling.grad_y[..., None] * uy
     F = ref_project(F, u)
     v = F if kind == "gradient" else F + ref_cross(u, F)
     return v, F, gsq
@@ -126,11 +151,12 @@ class TestReferenceKernel:
         assert np.array_equal(F, component_major(ref[1]))
         assert np.array_equal(gsq, ref[2])
 
+    @pytest.mark.parametrize("formula", ["laplacian", "tension"])
     @pytest.mark.parametrize("kind", ["gradient", "landau_lifshitz"])
-    def test_rhs_matches_the_tension_formula_on_the_sphere(self, setup, kind):
+    def test_rhs_matches_the_earlier_formulas_on_the_sphere(self, setup, kind, formula):
         g, c, u = setup
         assert u.max_norm_deviation <= 1e-15
-        old = ref_rhs_arrays(node_major(u.values), g.hx, g.hy, c, kind, tension=True)
+        old = ref_rhs_arrays(node_major(u.values), g.hx, g.hy, c, kind, formula)
         v, F, _ = _rhs_arrays(u.values, _Workspace(g, c, kind))
         for got, want in ((v, old[0]), (F, old[1])):
             want = component_major(want)

@@ -9,6 +9,7 @@ iterate, step()'s result) must not change when the loop goes on.
 import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -153,14 +154,16 @@ def test_rows_measure_the_state_they_belong_to(grid32, monkeypatch):
             assert row.max_density == sf.energy_density(state, c).max()
 
 
-@pytest.mark.parametrize("n, kind, lean, rows", [(128, "landau_lifshitz", 44, 55),
-                                                 (64, "gradient", 34, 45),
-                                                 (256, "gradient", 130, 174)])
+@pytest.mark.parametrize("n, kind, lean, rows", [(128, "landau_lifshitz", 37, 54),
+                                                 (64, "gradient", 27, 44),
+                                                 (256, "gradient", 102, 170)])
 def test_plans_leave_out_the_normal_term(n, kind, lean, rows):
-    # two halo copies, then per block of x-rows the stencil (16 calls), F
-    # (5), one projection (11) and on LL u x F + F (10); the row variant
-    # adds the two dots of u_x and u_y and their sum (11 per block).  The
-    # tension's |grad u|^2 u term and second projection took 28 more per block
+    # two halo copies, then per block of x-rows the weighted difference sum
+    # (12 calls and the two wrapped columns: 14), one projection (11) and on
+    # LL u x F + F (10); the row variant adds u_x and u_y (6), their two dots
+    # and the dots' sum (11) per block.  The stencil and the coupling terms
+    # took 21 calls where the sum takes 14; the tension's |grad u|^2 u term
+    # and second projection took 28 more per block
     g = sf.make_grid(n, n, 1.0, 1.0)
     ws = _Workspace(g, cosine_coupling(g), kind)
     assert [(len(ws.rhs[i]), len(ws.row_rhs[i])) for i in range(2)] == [(lean, rows)] * 2
@@ -215,33 +218,37 @@ UNEVEN = (160, 130, 1.0, 1.0)
 def test_uneven_grid_runs_as_two_blocks():
     g = sf.make_grid(*UNEVEN)
     ws = _Workspace(g, cosine_coupling(g), "gradient")
-    assert [(i0, i1) for i0, i1, *_ in ws.blocks] == [(0, 126), (126, 160)]
+    assert ws.blocks == [(0, 126), (126, 160)]
+    assert ws.v.shape == (3, 126, 130)      # on the gradient flow v is one block of scratch
 
 
+@pytest.mark.parametrize("kind", ["gradient", "landau_lifshitz"])
 @pytest.mark.parametrize("spec", [(64, 64, 1.0, 1.0), (128, 128, 1.0, 1.0),
                                   (256, 256, 1.0, 1.0), UNEVEN],
                          ids=["64x64", "128x128", "256x256", "160x130"])
-def test_workspace_arrays_start_on_a_cache_line(spec):
+def test_workspace_arrays_start_on_a_cache_line(spec, kind):
     # numpy aligns array data to 16 bytes only; an AVX-512 loop loads 64
     # bytes at a time, so an array that starts off a cache line splits every
     # load across two lines.  Where ny % 8 == 0 every plane, state view and
-    # block of x-rows starts on a cache line too
+    # block of x-rows starts on a cache line too.  v on the gradient flow is
+    # one block in size: every block uses its first rows
     g = sf.make_grid(*spec)
-    ws = _Workspace(g, cosine_coupling(g), "gradient")
-    planes = (ws.gsq, ws.d, ws.tmp)
+    ws = _Workspace(g, cosine_coupling(g), kind)
+    planes = (ws.gsq, ws.d, ws.tmp) + tuple(ws.W)
     vectors = (ws.v, ws.F) + ws.states
-    scratch = tuple(uy for *_, uy in ws.blocks)
-    starts = [a.ctypes.data for a in (ws.v, ws.F) + planes + scratch]
+    starts = [a.ctypes.data for a in (ws.v, ws.F, ws.W) + planes]
     starts += [u.ctypes.data - u.strides[1] for u in ws.states]   # each buffer's first halo row
     if g.ny % 8 == 0:
-        starts += [a[k].ctypes.data for a in vectors + scratch for k in range(3)]
-        starts += [a[..., i0:i1, :].ctypes.data for i0, i1, _ in ws.blocks for a in vectors + planes]
+        starts += [a[k].ctypes.data for a in vectors for k in range(3)]
+        blocked = vectors[1:] + planes + ((ws.v,) if ws.v.shape == ws.F.shape else ())
+        starts += [a[..., i0:i1, :].ctypes.data for i0, i1 in ws.blocks for a in blocked]
     assert [s % 64 for s in starts] == [0] * len(starts)
 
 
 def test_workspace_allocates_at_most_a_cache_line_per_array_beyond_its_arrays():
-    # at 256^2: v, F, gsq, d, tmp, dt, two padded buffers and the block
-    # scratch; the alignment costs at most 64 B each, so the peak RSS stays level
+    # at 256^2: v (one block on the gradient flow), F, gsq, d, tmp, the
+    # weights W, dt and two padded buffers; the alignment costs at most 64 B
+    # each
     g = sf.make_grid(256, 256, 1.0, 1.0)
     c = cosine_coupling(g)
     data = [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]
@@ -253,9 +260,45 @@ def test_workspace_allocates_at_most_a_cache_line_per_array_beyond_its_arrays():
     finally:
         tracemalloc.stop()
     allocated = sum(s.size_diff for s in after.compare_to(before, "filename"))
-    arrays = [ws.v, ws.F, ws.gsq, ws.d, ws.tmp, ws.dt, ws.blocks[0][2]]
+    arrays = [ws.v, ws.F, ws.gsq, ws.d, ws.tmp, ws.W, ws.dt]
     pads = 2 * 3 * (g.nx + 2) * g.ny * 8
     assert allocated <= sum(a.nbytes for a in arrays) + pads + 64 * (len(arrays) + 2)
+
+
+def test_weights_are_read_only():
+    g = sf.make_grid(*UNEVEN)
+    ws = _Workspace(g, cosine_coupling(g), "landau_lifshitz")
+    assert ws.W.shape == (4,) + g.shape and not ws.W.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        ws.W[0, 0, 0] = 1.0
+
+
+@pytest.mark.parametrize("spec", [(64, 64, 1.0, 1.0), UNEVEN], ids=["64x64", "160x130"])
+def test_weights_of_a_huge_coupling_make_no_warning(spec):
+    # the weights are kept in units of hx^2, so f = 1e308 does not overflow
+    # them; f / hx^2 would, at every node
+    g = sf.make_grid(*spec)
+    zeros = np.zeros(g.shape)
+    c = sf.Coupling(g, "custom-sampled", np.full(g.shape, 1e308), zeros, zeros)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ws = _Workspace(g, c, "landau_lifshitz")
+    assert np.all(np.isfinite(ws.W))
+
+
+def test_constant_field_is_stationary_bit_for_bit_on_an_uneven_grid():
+    # hx != hy and a cosine coupling: every difference u_k - u is 0, so the
+    # weighted sum is 0 whatever the weights
+    g = sf.make_grid(40, 24, 1.3, 0.7)
+    assert g.hx != g.hy
+    c = cosine_coupling(g)
+    u = sf.constant_field(g, (0.1, 0.7, 0.3))
+    for kind in ("gradient", "landau_lifshitz"):
+        v, F, _ = _rhs_arrays(u.values, _Workspace(g, c, kind))
+        assert not F.any() and not v.any()
+        out = sf.evolve(u, c, sf.FlowConfig(flow_kind=kind, t_end=1.0, safety=0.5))
+        assert out.reason == "stationary"
+        assert out.state.field.values is u.values
 
 
 @pytest.mark.parametrize("kind", ["gradient", "landau_lifshitz"])
@@ -344,7 +387,7 @@ def test_relax_steps_allocate_no_state_sized_array(monkeypatch):
     assert len(seen) == 13 and res.steps == 12
     assert np.all(np.diff(res.history) < 0)
     # the peak over steps 2..N; each ufunc call with a broadcast operand
-    # (f times F, 2.0 times a padded u) takes numpy's 64 KiB iterator
+    # (a weight W_k times a difference u_k - u) takes numpy's 64 KiB iterator
     # buffer, 2/3 of a 64^2 state, so the bound is one state, not a quarter
     assert seen[-1] - seen[1] < u0.values.nbytes
 
@@ -360,7 +403,7 @@ def test_recorded_step_matches_the_reference_kernel_on_edge_grids(spec, blocks, 
     c = cosine_coupling(g)
     u0 = sf.perturb(blob_field(g), 0.3, 5)
     ws = _Workspace(g, c, kind)
-    assert [(i0, i1) for i0, i1, *_ in ws.blocks] == blocks
+    assert ws.blocks == blocks
     ref = ref_rhs_arrays(node_major(u0.values), g.hx, g.hy, c, kind)
     for got, want in zip(_rhs_arrays(u0.values, ws, True), ref):
         assert np.array_equal(got, want if want.ndim == 2 else component_major(want))
