@@ -15,10 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import diagnostics
-from .domain import Coupling, Grid, _dot, _grad_arrays, _stencil, make_cutoff
+from .domain import Coupling, Grid, _dot, _grad_arrays, make_cutoff
 from .field import SphereField, normalize
 from .flow import FlowConfig, cfl_dt, dissipation_coefficient, evolve
-from .operators import ps_residual
+from .operators import _laplacian, ps_residual
 
 #: floor and stencil-gap margin for the energy-gradient check (fd step 1e-5)
 GRADIENT_RTOL_FLOOR = 1e-4
@@ -84,12 +84,12 @@ def gradient_pairing_error(field: SphereField, coupling: Coupling, seed: int = 0
     # exact gradient of the discrete energy (summation by parts is exact for
     # periodic central differences)
     f = coupling.values
-    ux, uy, lap = _stencil(u, hx, hy)
+    ux, uy = _grad_arrays(u, hx, hy)
     g_exact = _grad_arrays(f * ux, hx, hy)[0] + _grad_arrays(f * uy, hx, hy)[1]
     pair_exact = -2.0 * float(np.einsum("ijk,ijk->", g_exact, xi)) * cell
     # 5-point defect with the coupling gradient re-derived from the values
     fx, fy = _grad_arrays(f, hx, hy)
-    f_values = f * lap + fx * ux + fy * uy
+    f_values = f * _laplacian(u, hx, hy) + fx * ux + fy * uy
     pair_values = -2.0 * float(np.einsum("ijk,ijk->", f_values, xi)) * cell
     gap = pair_exact - pair_values
     return fd, pairing, gap
@@ -117,8 +117,7 @@ def _third_derivative_scale(field: SphereField) -> float:
     """L2 norm of the central-difference gradient of the 5-point Laplacian;
     the common magnitude behind the h^2 truncation terms of the identities."""
     g = field.grid
-    lap = _stencil(field.values, g.hx, g.hy)[2]
-    dlx, dly = _grad_arrays(lap, g.hx, g.hy)
+    dlx, dly = _grad_arrays(_laplacian(field.values, g.hx, g.hy), g.hx, g.hy)
     total = float(np.einsum("ijk,ijk->", dlx, dlx) + np.einsum("ijk,ijk->", dly, dly))
     return math.sqrt(total * g.cell_area)
 

@@ -5,8 +5,9 @@ torus) sampled on a uniform node grid.  The coupling is a strictly positive
 scalar weight f defined on the nodes; for analytic kinds its gradient is
 stored in closed form, for sampled data it is precomputed with central
 differences.  Cutoff fields are compactly supported vector fields used by the
-domain-variation diagnostics.  The periodic stencil (central differences and
-the 5-point Laplacian) behind every other module also lives here.
+domain-variation diagnostics.  The periodic pads and central differences
+behind every other module also live here; the 5-point Laplacian, a weighted
+sum of neighbour differences, is operators._weighted_differences.
 
 Layout: the stencil differentiates along the last two axes of its input,
 which index the node (i, j).  Scalars are (nx, ny); vector fields (the
@@ -508,8 +509,9 @@ def make_cutoff(grid: Grid, center: tuple[float, float], a: float, b_prime: floa
 
 
 # ---------------------------------------------------------------------------
-# Periodic stencil: every difference quotient of the package goes through
-# these functions, along the last two axes.
+# Periodic stencil: the pads every difference quotient of the package reads,
+# and the central differences, along the last two axes (the 5-point sum over
+# a pad is operators._weighted_differences).
 #
 # The kernel functions make every array operation as call(ufunc, *operands,
 # out).  With `_eager` the call runs at once; the step workspace
@@ -573,12 +575,12 @@ def _pad_rows(a: np.ndarray, i0: int, i1: int, buf: np.ndarray | None = None) ->
     return _Pad(flat.reshape(lead + (size,)), ny)
 
 
-def _y_columns(call, op, pad: _Pad, out: np.ndarray) -> None:
-    """Redo op(y+1, y-1) in the first and last column of `out` with the
-    periodic neighbours, which lie in the same row."""
+def _y_columns(call, pad: _Pad, out: np.ndarray) -> None:
+    """Redo the differences y+1 - y-1 in the first and last column of `out`
+    with the periodic neighbours, which lie in the same row."""
     c1, c_1, c0, c_2 = pad.columns
-    call(op, c1, c_1, out[..., 0])
-    call(op, c0, c_2, out[..., -1])
+    call(np.subtract, c1, c_1, out[..., 0])
+    call(np.subtract, c0, c_2, out[..., -1])
 
 
 def _grad_rows(call, pad: _Pad, hx: float, hy: float, ax: np.ndarray, ay: np.ndarray
@@ -588,7 +590,7 @@ def _grad_rows(call, pad: _Pad, hx: float, hy: float, ax: np.ndarray, ay: np.nda
     ay is written first."""
     _, xp, xm, yp, ym = pad.views
     call(np.subtract, yp, ym, ay)
-    _y_columns(call, np.subtract, pad, ay)
+    _y_columns(call, pad, ay)
     call(np.multiply, ay, 0.5 / hy, ay)
     call(np.subtract, xp, xm, ax)
     call(np.multiply, ax, 0.5 / hx, ax)
@@ -615,35 +617,3 @@ def _dot(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None,
     call(np.multiply, a[1], b[1], tmp)
     call(np.add, out, tmp, out)
     return out
-
-
-def _stencil_rows(call, pad: _Pad, hx: float, hy: float, ax: np.ndarray, ay: np.ndarray,
-                  lap: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Central differences and the 5-point Laplacian (a_x, a_y, lap a) of the
-    rows held by `pad`, written into ax, ay and lap, three arrays shaped like
-    the rows.
-
-    The arithmetic is that of _grad_rows and
-    (xp + xm - 2a) * (1 / hx^2) + (yp + ym - 2a) * (1 / hy^2), operation for
-    operation: ay holds 2a until a_y is computed, and ax holds the y-part of
-    the Laplacian until a_x, which is computed last.
-    """
-    c, xp, xm, yp, ym = pad.views
-    two_a = call(np.multiply, c, 2.0, ay)
-    call(np.add, xp, xm, lap)
-    call(np.subtract, lap, two_a, lap)
-    call(np.multiply, lap, 1.0 / (hx * hx), lap)
-    lap_y = call(np.add, yp, ym, ax)
-    _y_columns(call, np.add, pad, lap_y)
-    call(np.subtract, lap_y, two_a, lap_y)
-    call(np.multiply, lap_y, 1.0 / (hy * hy), lap_y)
-    call(np.add, lap, lap_y, lap)
-    return _grad_rows(call, pad, hx, hy, ax, ay) + (lap,)
-
-
-def _stencil(a: np.ndarray, hx: float, hy: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Periodic central differences and the 5-point Laplacian (a_x, a_y,
-    lap a) along the last two axes, read from one padded copy of `a`."""
-    a = np.asarray(a)
-    pad = _pad_rows(a, 0, a.shape[-2])
-    return _stencil_rows(_eager, pad, hx, hy, *(np.empty(a.shape, a.dtype) for _ in range(3)))

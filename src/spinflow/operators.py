@@ -8,10 +8,12 @@ rather than merely at stencil order.
 
 The flow right-hand side forms the defect as P_u(G), G = f lap u +
 grad f . grad u = div(f grad u) in its 5-point form: one weighted sum of
-neighbour differences, G = (1 / hx^2) sum_k W_k (u_k - u), whose per-node
-weights W fold the coupling in once per run.  At |u| = 1, f*tau(u) differs
-from f lap u by the normal f |grad u|^2 u, which the one projection removes.
-Only its row variant forms |grad u|^2.
+neighbour differences, G = (1 / h^2) sum_k W_k (u_k - u) with
+h = min(hx, hy), whose per-node weights W fold the coupling in once per run.
+At |u| = 1, f*tau(u) differs from f lap u by the normal f |grad u|^2 u,
+which the one projection removes.  Only its row variant forms |grad u|^2.
+The Laplacian is the same sum with the weights of f = 1, and the tension
+P_u(lap u), so tension(u) is ps_residual(u, f = 1) bit for bit.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import (Coupling, Grid, _dot, _eager, _grad_arrays, _grad_rows, _Pad, _pad_rows,
-                     _Plan, _readonly, _stencil)
+                     _Plan, _readonly)
 from .field import SphereField
 
 
@@ -74,7 +76,8 @@ def _weighted_differences(call, pad: _Pad, W: np.ndarray, scale: float, out: np.
                           tmp: np.ndarray) -> np.ndarray:
     """scale * sum_k W[k] (a_k - a) over the x+1, x-1, y+1 and y-1
     neighbours a_k of the rows held by `pad`, summed in that order into
-    `out`, with `tmp` for each term; W is (4,) + the rows' shape."""
+    `out`, with `tmp` for each term; each W[k] is shaped like the rows or is
+    a scalar."""
     c, *neighbours = pad.views
     _, c_1, c0, _ = pad.columns
     call(np.subtract, neighbours[0], c, out)
@@ -89,6 +92,27 @@ def _weighted_differences(call, pad: _Pad, W: np.ndarray, scale: float, out: np.
         call(np.add, out, tmp, out)
     call(np.multiply, out, scale, out)
     return out
+
+
+def _weight_scales(hx: float, hy: float) -> tuple[float, float, float, float, float]:
+    """(ax, bx, ay, by, scale): per node, in units of h^2, h = min(hx, hy),
+    a coupling f weighs the x+1 and x-1 neighbours ax f +- bx f_x and the y+1
+    and y-1 ones ay f +- by f_y, so that f lap u + grad f . grad u =
+    scale sum_k W_k (u_k - u), scale = 1 / h^2.  As ax, ay <= 1, no weight's
+    f term exceeds f, whichever spacing is the larger."""
+    h = min(hx, hy)
+    return (h / hx) ** 2, 0.5 * h * (h / hx), (h / hy) ** 2, 0.5 * h * h / hy, 1.0 / (h * h)
+
+
+def _laplacian(a: np.ndarray, hx: float, hy: float) -> np.ndarray:
+    """The periodic 5-point Laplacian of `a` along its last two axes: the
+    weighted sum of the flow right-hand side with the weights of f = 1, read
+    from one padded copy of `a`."""
+    a = np.asarray(a)
+    ax, _, ay, _, scale = _weight_scales(hx, hy)
+    out, tmp = (np.empty(a.shape, a.dtype) for _ in range(2))
+    return _weighted_differences(_eager, _pad_rows(a, 0, a.shape[-2]), (ax, ax, ay, ay), scale,
+                                 out, tmp)
 
 
 def _aligned(shape: tuple[int, ...]) -> np.ndarray:
@@ -126,10 +150,8 @@ class _Workspace:
 
     The arrays are v, F and |grad u|^2, two per-node scratch planes d and
     tmp, and the read-only (4, nx, ny) stencil weights W of the run's
-    coupling: per node, in units of hx^2, f + (hx/2) f_x and f - (hx/2) f_x
-    for the x+1 and x-1 neighbours, (hx/hy)^2 f + (hx^2/(2 hy)) f_y and
-    (hx/hy)^2 f - (hx^2/(2 hy)) f_y for the y+1 and y-1 neighbours, so that
-    f lap u + grad f . grad u = (1 / hx^2) sum_k W_k (u_k - u).  `blocks` are
+    coupling, in units of min(hx, hy)^2 (see _weight_scales), for the x+1,
+    x-1, y+1 and y-1 neighbours.  `blocks` are
     the (i0, i1) of the blocks of x-rows i0 <= i < i1 that the right-hand
     side runs through.  `states` are two (3, nx, ny) views of padded buffers
     that store each plane flat between two halo x-rows, as a _Pad does, so
@@ -178,17 +200,15 @@ class _Workspace:
         return 0
 
     def _weights(self, grid: Grid, coupling: Coupling) -> np.ndarray:
-        """The read-only stencil weights W, written in place (d holds
-        (hx/hy)^2 f), so no temporary is made."""
-        hx, hy = grid.hx, grid.hy
-        f, W = coupling.values, _aligned((4,) + grid.shape)
-        np.multiply(coupling.grad_x, 0.5 * hx, W[0])
-        np.subtract(f, W[0], W[1])
-        np.add(f, W[0], W[0])
-        np.multiply(f, (hx / hy) ** 2, self.d)
-        np.multiply(coupling.grad_y, 0.5 * hx * hx / hy, W[3])
-        np.add(self.d, W[3], W[2])
-        np.subtract(self.d, W[3], W[3])
+        """The read-only stencil weights W, written in place (d holds ax f,
+        then ay f), so no temporary is made."""
+        ax, bx, ay, by, _ = _weight_scales(grid.hx, grid.hy)
+        W = _aligned((4,) + grid.shape)
+        for k, a, b, f_k in ((0, ax, bx, coupling.grad_x), (2, ay, by, coupling.grad_y)):
+            np.multiply(coupling.values, a, self.d)
+            np.multiply(f_k, b, W[k + 1])
+            np.add(self.d, W[k + 1], W[k])
+            np.subtract(self.d, W[k + 1], W[k + 1])
         return _readonly(W)
 
     def _record_rhs(self, pad: np.ndarray, grid: Grid, kind: str, rows: bool) -> _Plan:
@@ -207,7 +227,7 @@ class _Workspace:
                 ux, uy = _grad_rows(plan, bpad, hx, hy, s, F)
                 gsq = _dot(ux, ux, self.gsq[i0:i1], tmp, plan)
                 plan(np.add, gsq, _dot(uy, uy, d, tmp, plan), gsq)
-            _weighted_differences(plan, bpad, self.W[:, i0:i1], 1.0 / (hx * hx), F, s)
+            _weighted_differences(plan, bpad, self.W[:, i0:i1], _weight_scales(hx, hy)[4], F, s)
             _project(plan, F, ub, d, tmp)
             if kind != "gradient":
                 # the block's LL velocity goes where the scratch was
@@ -247,8 +267,8 @@ def grad_squared(field: SphereField) -> np.ndarray:
 
 
 def laplacian(field: SphereField) -> np.ndarray:
-    """5-point periodic Laplacian."""
-    return _stencil(field.values, field.grid.hx, field.grid.hy)[2]
+    """5-point periodic Laplacian (the weighted sum of ps_residual at f = 1)."""
+    return _laplacian(field.values, field.grid.hx, field.grid.hy)
 
 
 def _rhs_arrays(u: np.ndarray, ws: _Workspace, rows: bool = False
@@ -271,14 +291,14 @@ def _rhs_arrays(u: np.ndarray, ws: _Workspace, rows: bool = False
 
 
 def tension(field: SphereField) -> TangentField:
-    """Tension field tau(u) = lap u + |grad u|^2 u, tangentially projected.
+    """Tension field tau(u) = lap u + |grad u|^2 u, tangentially projected
+    (formed as P_u(lap u), equal at |u| = 1): ps_residual with f = 1.
 
     The continuum tension is automatically tangent; the discrete one is not,
     so the normal component is removed to keep downstream identities exact.
     """
     g, u = field.grid, field.values
-    ux, uy, tau = _stencil(u, g.hx, g.hy)
-    tau += (_dot(ux, ux) + _dot(uy, uy)) * u
+    tau = _laplacian(u, g.hx, g.hy)
     return TangentField(g, _project(_eager, tau, u, *np.empty((2,) + g.shape)))
 
 

@@ -81,7 +81,20 @@ class TestPsResidual:
         u = blob_field(grid32)
         alpha = sf.ps_residual(u, unit_coupling(grid32))
         tau = sf.tension(u)
-        assert np.allclose(alpha.values, tau.values, atol=1e-13)
+        assert np.array_equal(alpha.values, tau.values)
+
+    @pytest.mark.parametrize("spec", [(64, 64, 1.0, 1.0), (160, 130, 1.0, 1.0),
+                                      (24, 20, 1.3, 0.7), (16, 32, 1.0, 1.0)],
+                             ids=["64x64", "160x130", "24x20", "16x32"])
+    def test_constant_coupling_is_a_multiple_of_the_tension_bit_for_bit(self, spec):
+        # tension and ps_residual share one weighted 5-point sum, with hx < hy
+        # (160x130) and hx > hy (24x20 on 1.3 x 0.7, 16x32) alike; doubling f
+        # doubles every weight and so every rounded term exactly
+        g = sf.make_grid(*spec)
+        u = sf.perturb(blob_field(g), 0.3, 5)
+        tau = sf.tension(u).values
+        assert np.array_equal(sf.ps_residual(u, unit_coupling(g)).values, tau)
+        assert np.array_equal(sf.ps_residual(u, unit_coupling(g, 2.0)).values, 2.0 * tau)
 
     def test_additive_in_coupling(self, grid32):
         u = blob_field(grid32)

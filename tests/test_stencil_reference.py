@@ -2,11 +2,13 @@
 kernel, kept here as the reference.
 
 The reference forms the defect as the step does, F = P_u(G) with G the
-weighted 5-point difference sum (1 / hx^2) sum_k W_k (u_k - u), whose
-per-node weights fold in the coupling, so v, F and |grad u|^2 must be equal
-bit for bit.  Only full-grid sums over a component-major array accumulate
-in another order; those are held to a relative bound fixed beforehand from
-the float64 epsilon (2.2e-16) and the grid size.
+weighted 5-point difference sum (1 / h^2) sum_k W_k (u_k - u),
+h = min(hx, hy), whose per-node weights fold in the coupling, so v, F and
+|grad u|^2 must be equal bit for bit.  The Laplacian is the same sum with the
+weights of f = 1, and the tension P_u(lap u).  Only full-grid sums over a
+component-major array accumulate in another order; those are held to a
+relative bound fixed beforehand from the float64 epsilon (2.2e-16) and the
+grid size.
 
 Two more oracles keep the defect as written before the weights: with the
 Laplacian, F = P_u(f lap u + grad f . grad u), the same G summed in another
@@ -21,8 +23,8 @@ import numpy as np
 import pytest
 
 import spinflow as sf
-from spinflow.domain import _grad_arrays, _stencil
-from spinflow.operators import _rhs_arrays, _Workspace
+from spinflow.domain import _grad_arrays
+from spinflow.operators import _laplacian, _rhs_arrays, _Workspace
 from spinflow.relax import DEFAULT_SAFETY
 
 from conftest import blob_field, cosine_coupling
@@ -70,28 +72,39 @@ def ref_cross(a, b):
     return out
 
 
-def ref_weights(coupling, hx, hy):
+def ref_weights(f, f_x, f_y, hx, hy):
     """The per-node weights of the x+1, x-1, y+1 and y-1 neighbours, in
-    units of hx^2: f +- (hx/2) f_x and (hx/hy)^2 f +- (hx^2/(2 hy)) f_y."""
-    f = coupling.values
-    wx = coupling.grad_x * (0.5 * hx)
-    fy = f * (hx / hy) ** 2
-    wy = coupling.grad_y * (0.5 * hx * hx / hy)
-    return f + wx, f - wx, fy + wy, fy - wy
+    units of h^2, h = min(hx, hy): (h/hx)^2 f +- (h^2/(2 hx)) f_x and
+    (h/hy)^2 f +- (h^2/(2 hy)) f_y."""
+    h = min(hx, hy)
+    fx, wx = f * (h / hx) ** 2, f_x * (0.5 * h * (h / hx))
+    fy, wy = f * (h / hy) ** 2, f_y * (0.5 * h * h / hy)
+    return fx + wx, fx - wx, fy + wy, fy - wy
+
+
+def ref_weighted_sum(a, W, hx, hy):
+    """((((xp - a) W0 + (xm - a) W1) + (yp - a) W2) + (ym - a) W3) (1 / h^2)."""
+    h = min(hx, hy)
+    xp, xm, yp, ym = ref_neighbours(a)
+    return ((((xp - a) * W[0] + (xm - a) * W[1]) + (yp - a) * W[2]) + (ym - a) * W[3]) \
+        * (1.0 / (h * h))
+
+
+def ref_laplacian(a, hx, hy):
+    """The weighted sum with the weights of f = 1."""
+    return ref_weighted_sum(a, ref_weights(1.0, 0.0, 0.0, hx, hy), hx, hy)
 
 
 def ref_rhs_arrays(u, hx, hy, coupling, kind, formula="weighted"):
-    """(v, F, |grad u|^2) with F = P_u(G): with formula "weighted" G is
-    ((((xp - u) W0 + (xm - u) W1) + (yp - u) W2) + (ym - u) W3) (1 / hx^2),
-    with "laplacian" f lap u + grad f . grad u and with "tension"
-    f tau(u) + grad f . grad u."""
+    """(v, F, |grad u|^2) with F = P_u(G): with formula "weighted" G is the
+    weighted sum with the coupling's weights, with "laplacian"
+    f lap u + grad f . grad u and with "tension" f tau(u) + grad f . grad u,
+    lap the textbook 5-point Laplacian."""
     ux, uy, lap = ref_stencil(u, hx, hy)
     gsq = ref_dot(ux, ux) + ref_dot(uy, uy)
     if formula == "weighted":
-        xp, xm, yp, ym = ref_neighbours(u)
-        W0, W1, W2, W3 = (w[..., None] for w in ref_weights(coupling, hx, hy))
-        F = ((((xp - u) * W0 + (xm - u) * W1) + (yp - u) * W2) + (ym - u) * W3) \
-            * (1.0 / (hx * hx))
+        W = ref_weights(coupling.values, coupling.grad_x, coupling.grad_y, hx, hy)
+        F = ref_weighted_sum(u, [w[..., None] for w in W], hx, hy)
     else:
         if formula == "tension":
             lap = ref_project(lap + gsq[..., None] * u, u)
@@ -181,30 +194,33 @@ class TestReferenceKernel:
     def test_public_operators_bit_identical(self, setup):
         g, c, u = setup
         ref_u = node_major(u.values)
-        ux, uy, lap = ref_stencil(ref_u, g.hx, g.hy)
+        ux, uy, _ = ref_stencil(ref_u, g.hx, g.hy)
         new_ux, new_uy = sf.grad(u)
         assert np.array_equal(new_ux, component_major(ux))
         assert np.array_equal(new_uy, component_major(uy))
+        lap = ref_laplacian(ref_u, g.hx, g.hy)
         assert np.array_equal(sf.laplacian(u), component_major(lap))
         assert np.array_equal(sf.grad_squared(u), ref_dot(ux, ux) + ref_dot(uy, uy))
-        gsq = ref_dot(ux, ux) + ref_dot(uy, uy)
-        tau = ref_project(lap + gsq[..., None] * ref_u, ref_u)
+        tau = ref_project(lap, ref_u)
         assert np.array_equal(sf.tension(u).values, component_major(tau))
         F = ref_rhs_arrays(ref_u, g.hx, g.hy, c, "gradient")[1]
         assert np.array_equal(sf.ps_residual(u, c).values, component_major(F))
         v = ref_rhs_arrays(ref_u, g.hx, g.hy, c, "landau_lifshitz")[0]
         assert np.array_equal(sf.ll_velocity(u, c).values, component_major(v))
 
+    def test_laplacian_matches_the_textbook_formula(self, setup):
+        g, _, u = setup
+        want = component_major(ref_stencil(node_major(u.values), g.hx, g.hy)[2])
+        got = sf.laplacian(u)
+        assert np.abs(got - want).max() <= FORMULA_RTOL * np.abs(want).max()
+
     def test_complex_scalar_keeps_its_dtype(self):
         # the Hopf field psi is a complex (nx, ny) array
         g = sf.make_grid(24, 20, 1.3, 0.7)
         psi = sf.hopf(sf.perturb(blob_field(g), 0.3, 5))
         assert psi.dtype == np.complex128 and np.abs(psi.imag).max() > 0
-        ref = ref_stencil(psi, g.hx, g.hy)
-        for got, want in zip(_stencil(psi, g.hx, g.hy), ref):
-            assert got.dtype == np.complex128
-            assert np.array_equal(got, want)
-        for got, want in zip(_grad_arrays(psi, g.hx, g.hy), ref[:2]):
+        ref = ref_stencil(psi, g.hx, g.hy)[:2] + (ref_laplacian(psi, g.hx, g.hy),)
+        for got, want in zip(_grad_arrays(psi, g.hx, g.hy) + (_laplacian(psi, g.hx, g.hy),), ref):
             assert got.dtype == np.complex128
             assert np.array_equal(got, want)
 

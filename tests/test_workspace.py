@@ -273,10 +273,11 @@ def test_weights_are_read_only():
         ws.W[0, 0, 0] = 1.0
 
 
-@pytest.mark.parametrize("spec", [(64, 64, 1.0, 1.0), UNEVEN], ids=["64x64", "160x130"])
+@pytest.mark.parametrize("spec", [(64, 64, 1.0, 1.0), UNEVEN, (16, 32, 1.0, 1.0)],
+                         ids=["64x64", "160x130", "16x32"])
 def test_weights_of_a_huge_coupling_make_no_warning(spec):
-    # the weights are kept in units of hx^2, so f = 1e308 does not overflow
-    # them; f / hx^2 would, at every node
+    # the weights are kept in units of min(hx, hy)^2, so f = 1e308 does not
+    # overflow them, also where hx > hy (16x32); f / h^2 would, at every node
     g = sf.make_grid(*spec)
     zeros = np.zeros(g.shape)
     c = sf.Coupling(g, "custom-sampled", np.full(g.shape, 1e308), zeros, zeros)
