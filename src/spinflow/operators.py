@@ -14,17 +14,31 @@ At |u| = 1, f*tau(u) differs from f lap u by the normal f |grad u|^2 u,
 which the one projection removes.  Only its row variant forms |grad u|^2.
 The Laplacian is the same sum with the weights of f = 1, and the tension
 P_u(lap u), so tension(u) is ps_residual(u, f = 1) bit for bit.
+
+A run's stepping loop holds a _Workspace: its arrays and its recorded
+calls (plans), one per part of the x-rows.  A run on two CPUs splits the
+x-rows into two halves and keeps the arrays in one shared arena, and a
+_Team of the main process and one forked worker replays the two parts of
+each plan at once; every call is the same element-wise ufunc call on the
+same rows, so the bits do not depend on who makes it.  ps_residual and
+ll_velocity make the calls of one evaluation at once on one padded copy of
+u, with no workspace.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
+import mmap
+import os
+import signal
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .domain import (Coupling, Grid, _dot, _eager, _grad_arrays, _grad_rows, _Pad, _pad_rows,
-                     _Plan, _readonly)
+                     _Plan, _readonly, _scale)
 from .field import SphereField
 
 
@@ -90,8 +104,7 @@ def _weighted_differences(call, pad: _Pad, W: np.ndarray, scale: float, out: np.
             call(np.subtract, c_1, c0, tmp[..., 0])
         call(np.multiply, tmp, W[k], tmp)
         call(np.add, out, tmp, out)
-    call(np.multiply, out, scale, out)
-    return out
+    return _scale(call, out, scale, out)
 
 
 def _weight_scales(hx: float, hy: float) -> tuple[float, float, float, float, float]:
@@ -124,9 +137,29 @@ def _aligned(shape: tuple[int, ...]) -> np.ndarray:
     return buf[skip:skip + n].reshape(shape)
 
 
+def _arrays(shapes: list[tuple[int, ...]], shared: bool = False
+            ) -> tuple[np.ndarray | None, list[np.ndarray]]:
+    """(arena, arrays): uninitialised float64 arrays of `shapes`, each
+    starting on a 64-byte (cache-line) boundary.  If `shared` they are
+    views of one arena, an anonymous shared mapping, which a forked process
+    writes for its parent too; else each is its own numpy buffer (arena
+    None), which can reuse heap memory that numpy freed: at 128^2 one
+    fresh buffer for all of them raised a run's peak RSS by 1.4 MB."""
+    if not shared:
+        return None, [_aligned(s) for s in shapes]
+    sizes = [-(-8 * math.prod(s) // 64) * 64 for s in shapes]
+    arena = np.frombuffer(mmap.mmap(-1, sum(sizes)), np.uint8)
+    out, start = [], 0
+    for s, size in zip(shapes, sizes):
+        out.append(arena[start:start + 8 * math.prod(s)].view(np.float64).reshape(s))
+        start += size
+    return arena, out
+
+
 #: x-rows are processed in blocks of at most this many nodes, so that the
 #: planes one block touches stay near the 2 MiB L2 cache of a core: 64^2
-#: and 128^2 run as one block, 256^2 as four.  On a 2-core Xeon, in
+#: and 128^2 run as one block (per part), 256^2 as four (two per part of a
+#: team of two).  On a 2-core Xeon, in
 #: interleaved in-process rounds of the recorded rhs + step (two sets of
 #: 12), the 128^2 LL step took a median 0.42-0.46 ms against 0.45-0.50 ms
 #: in blocks of 8,192 nodes, and the 256^2 gradient step 1.79-1.85 ms
@@ -134,35 +167,216 @@ def _aligned(shape: tuple[int, ...]) -> np.ndarray:
 BLOCK_NODES = 16_384
 
 
-def _row_blocks(shape: tuple[int, int]) -> list[tuple[int, int]]:
-    """(i0, i1) per block of x-rows i0 <= i < i1 of an (nx, ny) grid; the
-    first block is the largest."""
+def _row_blocks(shape: tuple[int, int], i0: int = 0, i1: int | None = None
+                ) -> list[tuple[int, int]]:
+    """(a, b) per block of x-rows a <= i < b of the x-rows i0 <= i < i1
+    (default: all) of an (nx, ny) grid; the first block is the largest."""
     nx, ny = shape
-    rows = max(1, min(nx, BLOCK_NODES // ny))
-    return [(i0, min(i0 + rows, nx)) for i0 in range(0, nx, rows)]
+    i1 = nx if i1 is None else i1
+    rows = max(1, min(i1 - i0, BLOCK_NODES // ny))
+    return [(a, min(a + rows, i1)) for a in range(i0, i1, rows)]
+
+
+def _weights(grid: Grid, coupling: Coupling, W: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """The stencil weights of the coupling, in units of min(hx, hy)^2 (see
+    _weight_scales), for the x+1, x-1, y+1 and y-1 neighbours, written into
+    the (4, nx, ny) W with the plane d as scratch (d holds ax f, then ay f),
+    so no temporary is made; returns a read-only view of W."""
+    ax, bx, ay, by, _ = _weight_scales(grid.hx, grid.hy)
+    for k, a, b, f_k in ((0, ax, bx, coupling.grad_x), (2, ay, by, coupling.grad_y)):
+        np.multiply(coupling.values, a, d)
+        np.multiply(f_k, b, W[k + 1])
+        np.add(d, W[k + 1], W[k])
+        np.subtract(d, W[k + 1], W[k + 1])
+    return _readonly(W)
+
+
+def _rhs_block(call, pad: _Pad, u: np.ndarray, W: np.ndarray, grid: Grid, F: np.ndarray,
+               s: np.ndarray, d: np.ndarray, tmp: np.ndarray, gsq: np.ndarray | None,
+               ll: bool) -> None:
+    """The calls of the right-hand side on the block of x-rows held by `pad`
+    (u: those rows; W, F, s, d, tmp and gsq: the block's rows of each):
+    with gsq, |grad u|^2 into gsq, then the defect into F and on LL (`ll`)
+    the velocity u x F + F into s, which is scratch otherwise."""
+    if gsq is not None:
+        # u_y goes into F, which is free until the sum is formed
+        ux, uy = _grad_rows(call, pad, grid.hx, grid.hy, s, F)
+        _dot(ux, ux, gsq, tmp, call)
+        call(np.add, gsq, _dot(uy, uy, d, tmp, call), gsq)
+    _weighted_differences(call, pad, W, _weight_scales(grid.hx, grid.hy)[4], F, s)
+    _project(call, F, u, d, tmp)
+    if ll:
+        # the block's LL velocity goes where the scratch was
+        _cross(call, u, F, s, tmp)
+        call(np.add, s, F, s)
+
+
+#: a run is stepped by a team of two only on a grid of at least this many
+#: nodes.  On a 2-core Xeon VM, over 8 runs per team size that alternate in
+#: one process, the team's step took a median 1.03 times the serial step at
+#: 48^2 (gradient, 3,000 steps), 1.00 at 64^2 and 0.88 in relax at 64^2,
+#: and 0.65 at 128^2 (LL); at 32^2 and 40^2 it took 82-100 us against 60-77.
+TEAM_NODES = 4_096
+
+#: the team's control words: main's command count and the command (the
+#: index of a plan), then, on the next cache line, the worker's done count
+_GO, _CMD, _DONE = 0, 1, 8
+
+#: reads of a control word before each further read yields the CPU
+_SPINS = 2_000
+
+#: x86 stores become visible to other cores in program order, so a count
+#: seen by one process implies the rows the other wrote before posting it
+_ORDERED_STORES = os.uname().machine in ("x86_64", "AMD64", "i386", "i686")
+
+#: prctl(2) option: the signal a process gets when its parent dies
+_PR_SET_PDEATHSIG = 1
+
+
+def _team_size(grid: Grid, budget: int) -> int:
+    """2 if a run of `budget` steps on `grid` is stepped by the main process
+    and one forked worker, else 1: the affinity mask must hold two CPUs,
+    the process must run no other thread (fork copies only the calling
+    one), the budget must be more than one step and the grid at least
+    TEAM_NODES nodes."""
+    can_fork = (_ORDERED_STORES and hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+                and threading.active_count() == 1)
+    return 2 if (can_fork and budget > 1 and grid.nx * grid.ny >= TEAM_NODES
+                 and len(os.sched_getaffinity(0)) >= 2) else 1
+
+
+def _pin(cpus: set[int]) -> None:
+    """Restrict the calling process to `cpus`, where the system lets it."""
+    try:
+        os.sched_setaffinity(0, cpus)
+    except OSError:
+        pass
+
+
+def _serve(ctl: memoryview, plans: list[_Plan], cpu: int, parent: int) -> None:
+    """The life of a forked worker, pinned to `cpu`: replay plans[ctl[_CMD]]
+    at every command count after the one it was forked at, then post that
+    count as done, until the parent kills it or dies.  It ignores SIGINT,
+    which a terminal sends the whole process group, and leaves only by
+    os._exit, so it flushes no stdio buffer it inherited."""
+    code = 1
+    try:
+        prctl = ctypes.CDLL(None, use_errno=True).prctl
+        prctl.argtypes = [ctypes.c_int] + [ctypes.c_ulong] * 4
+        prctl.restype = ctypes.c_int
+        prctl(_PR_SET_PDEATHSIG, signal.SIGKILL, 0, 0, 0)
+        if os.getppid() != parent:          # the parent died before prctl
+            code = 0
+            return
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        np.seterr(all="ignore")
+        _pin({cpu})
+        seen = ctl[_DONE]
+        while True:
+            spins = 0
+            while ctl[_GO] == seen:
+                spins += 1
+                if spins > _SPINS:
+                    os.sched_yield()
+            seen = ctl[_GO]
+            plans[ctl[_CMD]].run()
+            ctl[_DONE] = seen
+    finally:
+        os._exit(code)
+
+
+class _Team:
+    """Who replays the parts of the plans of a workspace: the main process
+    alone, or, between start() and close(), main the first part and a
+    forked worker the second, at the same time.
+
+    The worker writes the shared arena of the workspace.  Each run(parts)
+    is a spin barrier on the control words `ctl`: main posts the command
+    and its count, replays part 0, and waits until the worker posts the
+    count as done.  Both wait by reading the word _SPINS times and then
+    yielding the CPU between reads, so a contended core slows the run
+    rather than stalling it; main also checks that the worker still lives.
+    While the worker lives, main and it are pinned to two CPUs of main's
+    affinity mask, which close() restores.
+    """
+
+    def __init__(self, ctl: memoryview, plans: list[tuple[_Plan, ...]]):
+        self.ctl, self.plans = ctl, plans
+        self.index = {id(parts): k for k, parts in enumerate(plans)}
+        self.pid = self.mask = None
+
+    def start(self) -> None:
+        """Fork the worker, which replays the second part of each plan; if
+        the system refuses the fork, main goes on replaying every part."""
+        cpus = sorted(os.sched_getaffinity(0))[:2]
+        parent = os.getpid()
+        try:
+            pid = os.fork()
+        except OSError:
+            return
+        if pid == 0:
+            _serve(self.ctl, [parts[-1] for parts in self.plans], cpus[-1], parent)
+        self.pid, self.mask = pid, os.sched_getaffinity(0)
+        _pin({cpus[0]})
+
+    def run(self, parts: tuple[_Plan, ...]) -> None:
+        """Replay every part of a plan of the workspace."""
+        if self.pid is None:
+            for plan in parts:
+                plan.run()
+            return
+        ctl = self.ctl
+        ctl[_CMD] = self.index[id(parts)]
+        count = ctl[_GO] + 1
+        ctl[_GO] = count
+        parts[0].run()
+        spins = 0
+        while ctl[_DONE] != count:
+            spins += 1
+            if spins > _SPINS:
+                os.sched_yield()
+                pid, status = os.waitpid(self.pid, os.WNOHANG)
+                if pid:
+                    self.pid = None
+                    raise RuntimeError(f"the step worker process died: exit code "
+                                       f"{os.waitstatus_to_exitcode(status)}")
+
+    def close(self) -> None:
+        """Kill and reap the worker, if one lives, and restore main's mask."""
+        if self.pid is not None:
+            pid, self.pid = self.pid, None
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        if self.mask is not None:
+            _pin(self.mask)
+            self.mask = None
 
 
 class _Workspace:
     """Every array that one evaluation of the flow right-hand side and one
-    Euler step of a run write, allocated for its grid, and the calls that
-    write them, recorded as _Plans by the kernel functions of the eager
-    operators when the workspace is made.
+    Euler step of a run write (for a team of two in one shared `arena`,
+    see _arrays), and the calls that write them, recorded as _Plans by the
+    kernel functions of the eager operators when the workspace is made.
 
     The arrays are v, F and |grad u|^2, two per-node scratch planes d and
-    tmp, and the read-only (4, nx, ny) stencil weights W of the run's
-    coupling, in units of min(hx, hy)^2 (see _weight_scales), for the x+1,
-    x-1, y+1 and y-1 neighbours.  `blocks` are
-    the (i0, i1) of the blocks of x-rows i0 <= i < i1 that the right-hand
-    side runs through.  `states` are two (3, nx, ny) views of padded buffers
+    tmp, the read-only (4, nx, ny) stencil weights W of the run's coupling
+    (see _weights), the 0-d `dt` and the control words of the team.  The
+    x-rows fall into one part per member of the team that will step the
+    run (`team_size`): `parts` are (i0, i1) with i0 <= i < i1, all x-rows
+    or the first half and the rest; `blocks` are the blocks of x-rows of
+    the parts, each part's in order.  `states` are two (3, nx, ny) views of padded buffers
     that store each plane flat between two halo x-rows, as a _Pad does, so
     the stencil reads its neighbours from the state itself.  `velocity` is
     F on the gradient flow and v (LL) on any other kind; on the gradient
-    flow v is only the stencil's scratch, one block in size.  Per state
-    buffer the workspace records, for the run's grid, coupling and flow
-    kind, one plan in `rhs`, which refreshes the halo rows and writes v and
-    F block by block, its row variant in `row_rhs`, which writes |grad u|^2
-    too, and one in `step`, which writes u + dt velocity (dt: the 0-d array
-    `dt`) into the other state buffer, its norms into d.
+    flow v is only the stencil's scratch, one block in size per part.
+
+    Per state buffer the workspace records, for the run's grid, coupling
+    and flow kind, a tuple of one plan per part: in `rhs`, which write v
+    and F block by block, in `row_rhs`, which write |grad u|^2 too, and in
+    `step`, which write u + dt velocity into the other state buffer, its
+    norms into d, and divide it by them.  Part 0 first refreshes the top
+    halo row and the last part the bottom one; no part writes a row of
+    another.  `team` replays the parts (see _Team).
 
     Every array (and each padded buffer) starts on a 64-byte cache line,
     where numpy aligns only to 16 bytes: numpy's AVX-512 loops load 64 bytes
@@ -175,20 +389,26 @@ class _Workspace:
     overwrites v, F and the scratch, and each step the other state buffer.
     """
 
-    def __init__(self, grid: Grid, coupling: Coupling, kind: str):
+    def __init__(self, grid: Grid, coupling: Coupling, kind: str, team_size: int = 1):
         nx, ny = grid.shape
-        self.blocks = _row_blocks(grid.shape)
-        self.v = _aligned((3, self.blocks[0][1] if kind == "gradient" else nx, ny))
-        self.F = _aligned((3, nx, ny))
-        self.gsq, self.d, self.tmp = (_aligned((nx, ny)) for _ in range(3))
-        self.W = self._weights(grid, coupling)
-        self.dt = np.zeros(())
+        half = (nx + 1) // 2
+        self.parts = [(0, nx)] if team_size == 1 else [(0, half), (half, nx)]
+        self.blocks = [b for part in self.parts for b in _row_blocks(grid.shape, *part)]
+        self.arena, (self.v, self.F, self.gsq, self.d, self.tmp, W, self.dt, ctl, *pads) = _arrays(
+            [(3, sum(self._scratch_rows()) if kind == "gradient" else nx, ny), (3, nx, ny),
+             (nx, ny), (nx, ny), (nx, ny), (4, nx, ny), (), (16,)] + [(3, (nx + 2) * ny)] * 2,
+            shared=team_size > 1)
+        self.W = _weights(grid, coupling, W, self.d)
         self.velocity = self.F if kind == "gradient" else self.v
-        pads = [_aligned((3, (nx + 2) * ny)) for _ in range(2)]
         self.states = tuple(p.reshape(3, nx + 2, ny)[:, 1:-1] for p in pads)
-        self.rhs, self.row_rhs = ([self._record_rhs(p, grid, kind, rows) for p in pads]
+        self.rhs, self.row_rhs = ([tuple(self._record_rhs(p, grid, kind, rows, k)
+                                         for k in range(team_size)) for p in pads]
                                   for rows in (False, True))
-        self.step = [self._record_step(u, w) for u, w in zip(self.states, self.states[::-1])]
+        self.step = [tuple(self._record_step(u, w, i0, i1) for i0, i1 in self.parts)
+                     for u, w in zip(self.states, self.states[::-1])]
+        ctl = ctl.view(np.int64)
+        ctl[:] = 0
+        self.team = _Team(memoryview(ctl), self.rhs + self.row_rhs + self.step)
 
     def index(self, u: np.ndarray) -> int:
         """The index of the state buffer that holds u; a u that is no state
@@ -199,47 +419,34 @@ class _Workspace:
             np.copyto(self.states[0], u)
         return 0
 
-    def _weights(self, grid: Grid, coupling: Coupling) -> np.ndarray:
-        """The read-only stencil weights W, written in place (d holds ax f,
-        then ay f), so no temporary is made."""
-        ax, bx, ay, by, _ = _weight_scales(grid.hx, grid.hy)
-        W = _aligned((4,) + grid.shape)
-        for k, a, b, f_k in ((0, ax, bx, coupling.grad_x), (2, ay, by, coupling.grad_y)):
-            np.multiply(coupling.values, a, self.d)
-            np.multiply(f_k, b, W[k + 1])
-            np.add(self.d, W[k + 1], W[k])
-            np.subtract(self.d, W[k + 1], W[k + 1])
-        return _readonly(W)
+    def _scratch_rows(self) -> list[int]:
+        """The x-rows of the first block of each part, its largest; no
+        part's first block is larger than the first part's."""
+        return [min(i1 - i0, self.blocks[0][1]) for i0, i1 in self.parts]
 
-    def _record_rhs(self, pad: np.ndarray, grid: Grid, kind: str, rows: bool) -> _Plan:
-        (nx, ny), hx, hy = grid.shape, grid.hx, grid.hy
-        plan, padded = _Plan(), pad.reshape(3, nx + 2, ny)
+    def _record_rhs(self, pad: np.ndarray, grid: Grid, kind: str, rows: bool, k: int) -> _Plan:
+        (nx, ny), plan = grid.shape, _Plan()
+        padded = pad.reshape(3, nx + 2, ny)
         u = padded[:, 1:-1]
-        plan(np.copyto, padded[:, 0], padded[:, nx])       # the halo rows: x-rows nx - 1 and 0
-        plan(np.copyto, padded[:, nx + 1], padded[:, 1])
-        for i0, i1 in self.blocks:
-            ub, F = u[:, i0:i1], self.F[:, i0:i1]
-            s = self.v[:, :i1 - i0] if kind == "gradient" else self.v[:, i0:i1]
-            d, tmp = self.d[i0:i1], self.tmp[i0:i1]
-            bpad = _Pad(pad[:, i0 * ny:(i1 + 2) * ny], ny)
-            if rows:
-                # u_y goes into F, which is free until the sum is formed
-                ux, uy = _grad_rows(plan, bpad, hx, hy, s, F)
-                gsq = _dot(ux, ux, self.gsq[i0:i1], tmp, plan)
-                plan(np.add, gsq, _dot(uy, uy, d, tmp, plan), gsq)
-            _weighted_differences(plan, bpad, self.W[:, i0:i1], _weight_scales(hx, hy)[4], F, s)
-            _project(plan, F, ub, d, tmp)
-            if kind != "gradient":
-                # the block's LL velocity goes where the scratch was
-                _cross(plan, ub, F, s, tmp)
-                plan(np.add, s, F, s)
+        if k == 0:
+            plan(np.copyto, padded[:, 0], padded[:, nx])       # the top halo: x-row nx - 1
+        if k == len(self.parts) - 1:
+            plan(np.copyto, padded[:, nx + 1], padded[:, 1])   # the bottom one: x-row 0
+        scratch = sum(self._scratch_rows()[:k])     # where part k's scratch starts (gradient)
+        for i0, i1 in _row_blocks(grid.shape, *self.parts[k]):
+            s = self.v[:, scratch:scratch + i1 - i0] if kind == "gradient" else self.v[:, i0:i1]
+            _rhs_block(plan, _Pad(pad[:, i0 * ny:(i1 + 2) * ny], ny), u[:, i0:i1],
+                       self.W[:, i0:i1], grid, self.F[:, i0:i1], s, self.d[i0:i1],
+                       self.tmp[i0:i1], self.gsq[i0:i1] if rows else None, kind != "gradient")
         return plan
 
-    def _record_step(self, u: np.ndarray, w: np.ndarray) -> _Plan:
+    def _record_step(self, u: np.ndarray, w: np.ndarray, i0: int, i1: int) -> _Plan:
         plan = _Plan()
-        plan(np.multiply, self.velocity, self.dt, w)
+        u, w, v, d = u[:, i0:i1], w[:, i0:i1], self.velocity[:, i0:i1], self.d[i0:i1]
+        _scale(plan, v, self.dt, w)
         plan(np.add, w, u, w)
-        plan(np.sqrt, _dot(w, w, self.d, self.tmp, plan), self.d)
+        plan(np.sqrt, _dot(w, w, d, self.tmp[i0:i1], plan), d)
+        plan(np.divide, w, d, w)
         return plan
 
 
@@ -279,15 +486,38 @@ def _rhs_arrays(u: np.ndarray, ws: _Workspace, rows: bool = False
     exactly unit-norm, under the grid, coupling and flow kind of `ws`; for
     the gradient flow v is F.
 
-    The results are arrays of `ws`, written by replaying the right-hand-side
-    plan (or with `rows` its row variant) of the state buffer of `ws` that
-    holds u (u is copied into one first if it is none); nothing is
-    allocated.  Overflow and invalid operations are not reported: a
-    non-finite velocity is the blow-up signature the caller scans for.
+    The results are arrays of `ws`, written by the team of `ws` replaying
+    the parts of the right-hand-side plan (or with `rows` its row variant)
+    of the state buffer of `ws` that holds u (u is copied into one first if
+    it is none); nothing is allocated.  Overflow and invalid operations are
+    not reported: a non-finite velocity is the blow-up signature the caller
+    scans for.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        (ws.row_rhs if rows else ws.rhs)[ws.index(u)].run()
+        ws.team.run((ws.row_rhs if rows else ws.rhs)[ws.index(u)])
     return ws.velocity, ws.F, ws.gsq if rows else None
+
+
+def _one_shot(field: SphereField, coupling: Coupling, kind: str) -> np.ndarray:
+    """The velocity of flow `kind` at `field` (F on the gradient flow), by
+    the calls of the right-hand-side plan made at once on one padded copy
+    of its values: no second state buffer, no plan and no team."""
+    _check_same_grid(field, coupling)
+    g, ll = field.grid, kind != "gradient"
+    (nx, ny), blocks = g.shape, _row_blocks(g.shape)
+    _, (out,) = _arrays([(3, nx, ny)])
+    b = blocks[0][1]                                # the first block is the largest
+    _, (pad, W, d, tmp, other) = _arrays([(3, (nx + 2) * ny), (4, nx, ny), (nx, ny), (b, ny),
+                                          (3, nx if ll else b, ny)])
+    u = _pad_rows(field.values, 0, nx, pad).views[0]
+    W = _weights(g, coupling, W, d)
+    F, s = (other, out) if ll else (out, other)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i0, i1 in blocks:
+            _rhs_block(_eager, _Pad(pad[:, i0 * ny:(i1 + 2) * ny], ny), u[:, i0:i1],
+                       W[:, i0:i1], g, F[:, i0:i1], s[:, i0:i1] if ll else s[:, :i1 - i0],
+                       d[i0:i1], tmp[:i1 - i0], None, ll)
+    return out
 
 
 def tension(field: SphereField) -> TangentField:
@@ -309,9 +539,7 @@ def ps_residual(field: SphereField, coupling: Coupling) -> TangentField:
     Vanishes exactly when u is a discrete stationary point of the weighted
     energy; along the gradient flow it doubles as the flow velocity.
     """
-    _check_same_grid(field, coupling)
-    _, F, _ = _rhs_arrays(field.values, _Workspace(field.grid, coupling, "gradient"))
-    return TangentField(field.grid, F)
+    return TangentField(field.grid, _one_shot(field, coupling, "gradient"))
 
 
 def ll_velocity(field: SphereField, coupling: Coupling) -> TangentField:
@@ -320,9 +548,7 @@ def ll_velocity(field: SphereField, coupling: Coupling) -> TangentField:
     Since F is tangent and |u| = 1, the dissipative and precessional parts
     are orthogonal and |v|^2 = 2 |F|^2 per node.
     """
-    _check_same_grid(field, coupling)
-    v, _, _ = _rhs_arrays(field.values, _Workspace(field.grid, coupling, "landau_lifshitz"))
-    return TangentField(field.grid, v)
+    return TangentField(field.grid, _one_shot(field, coupling, "landau_lifshitz"))
 
 
 def _check_same_grid(field: SphereField, coupling: Coupling) -> None:

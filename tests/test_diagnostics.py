@@ -365,6 +365,19 @@ class TestLedger:
         with pytest.raises(ValueError):
             led.append(self.row(e=1.0, local=(1.5,)))
 
+    def test_nan_local_energy_with_a_finite_total_rejected(self):
+        # NaN > e_f + 1e-10 is false, so the bound above alone lets it in
+        led = DiagnosticsLedger(radii=(0.2, 0.1))
+        with pytest.raises(ValueError, match="NaN"):
+            led.append(self.row(e=1.0, local=(0.5, math.nan)))
+        assert len(led) == 0
+
+    def test_nan_local_energy_with_an_overflowed_total_is_kept(self):
+        # the partial ledger of an overflowed run (exit 4) keeps its rows
+        led = DiagnosticsLedger(radii=(0.2,))
+        led.append(self.row(e=math.inf, local=(math.nan,)))
+        assert len(led) == 1
+
     def test_radii_count_must_match(self):
         led = DiagnosticsLedger(radii=(0.2, 0.1))
         with pytest.raises(ValueError):

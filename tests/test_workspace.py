@@ -154,19 +154,28 @@ def test_rows_measure_the_state_they_belong_to(grid32, monkeypatch):
             assert row.max_density == sf.energy_density(state, c).max()
 
 
-@pytest.mark.parametrize("n, kind, lean, rows", [(128, "landau_lifshitz", 37, 54),
-                                                 (64, "gradient", 27, 44),
-                                                 (256, "gradient", 102, 170)])
-def test_plans_leave_out_the_normal_term(n, kind, lean, rows):
-    # two halo copies, then per block of x-rows the weighted difference sum
-    # (12 calls and the two wrapped columns: 14), one projection (11) and on
-    # LL u x F + F (10); the row variant adds u_x and u_y (6), their two dots
-    # and the dots' sum (11) per block.  The stencil and the coupling terms
-    # took 21 calls where the sum takes 14; the tension's |grad u|^2 u term
-    # and second projection took 28 more per block
+@pytest.mark.parametrize("n, kind, team, lean, rows", [
+    (128, "landau_lifshitz", 1, [37], [54]), (128, "landau_lifshitz", 2, [38, 38], [59, 59]),
+    (64, "gradient", 1, [27], [44]), (64, "gradient", 2, [28, 28], [49, 49]),
+    (256, "gradient", 1, [110], [186]), (256, "gradient", 2, [55, 55], [97, 97])])
+def test_plans_leave_out_the_normal_term(n, kind, team, lean, rows):
+    # two halo copies (one per part in a team of two), then per block of
+    # x-rows the weighted difference sum (12 calls and the two wrapped
+    # columns: 14), one projection (11) and on LL u x F + F (10); the row
+    # variant adds u_x and u_y (6), their two dots and the dots' sum (11)
+    # per block.  A scaling by a scalar of a block that is not contiguous
+    # runs plane by plane (domain._scale): 3 calls, not 1, for the sum's
+    # scale and on row plans for u_y, and on LL for u_x too.  The stencil
+    # and the coupling terms took 21 calls where the sum takes 14; the
+    # tension's |grad u|^2 u term and second projection took 28 more per
+    # block.  Each part's step plan scales the velocity by dt into the
+    # padded state (3), adds u (1), forms the norms (6) and divides (1)
     g = sf.make_grid(n, n, 1.0, 1.0)
-    ws = _Workspace(g, cosine_coupling(g), kind)
-    assert [(len(ws.rhs[i]), len(ws.row_rhs[i])) for i in range(2)] == [(lean, rows)] * 2
+    ws = _Workspace(g, cosine_coupling(g), kind, team)
+    for i in range(2):
+        assert [len(p) for p in ws.rhs[i]] == lean
+        assert [len(p) for p in ws.row_rhs[i]] == rows
+        assert [len(p) for p in ws.step[i]] == [11] * team
 
 
 def test_step_results_do_not_change_on_the_next_step(grid32):
@@ -222,18 +231,19 @@ def test_uneven_grid_runs_as_two_blocks():
     assert ws.v.shape == (3, 126, 130)      # on the gradient flow v is one block of scratch
 
 
+@pytest.mark.parametrize("team", [1, 2])
 @pytest.mark.parametrize("kind", ["gradient", "landau_lifshitz"])
 @pytest.mark.parametrize("spec", [(64, 64, 1.0, 1.0), (128, 128, 1.0, 1.0),
                                   (256, 256, 1.0, 1.0), UNEVEN],
                          ids=["64x64", "128x128", "256x256", "160x130"])
-def test_workspace_arrays_start_on_a_cache_line(spec, kind):
+def test_workspace_arrays_start_on_a_cache_line(spec, kind, team):
     # numpy aligns array data to 16 bytes only; an AVX-512 loop loads 64
     # bytes at a time, so an array that starts off a cache line splits every
     # load across two lines.  Where ny % 8 == 0 every plane, state view and
     # block of x-rows starts on a cache line too.  v on the gradient flow is
     # one block in size: every block uses its first rows
     g = sf.make_grid(*spec)
-    ws = _Workspace(g, cosine_coupling(g), kind)
+    ws = _Workspace(g, cosine_coupling(g), kind, team)
     planes = (ws.gsq, ws.d, ws.tmp) + tuple(ws.W)
     vectors = (ws.v, ws.F) + ws.states
     starts = [a.ctypes.data for a in (ws.v, ws.F, ws.W) + planes]
@@ -245,24 +255,32 @@ def test_workspace_arrays_start_on_a_cache_line(spec, kind):
     assert [s % 64 for s in starts] == [0] * len(starts)
 
 
-def test_workspace_allocates_at_most_a_cache_line_per_array_beyond_its_arrays():
-    # at 256^2: v (one block on the gradient flow), F, gsq, d, tmp, the
-    # weights W, dt and two padded buffers; the alignment costs at most 64 B
-    # each
+@pytest.mark.parametrize("team", [1, 2])
+def test_workspace_allocates_at_most_a_cache_line_per_array_beyond_its_arrays(team):
+    # at 256^2: v (one block per part on the gradient flow), F, gsq, d, tmp,
+    # the weights W, dt, the team's control words and two padded buffers;
+    # the alignment costs at most 64 B each.  A team of one allocates them
+    # from numpy, a team of two as one shared arena, outside numpy
     g = sf.make_grid(256, 256, 1.0, 1.0)
     c = cosine_coupling(g)
     data = [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]
     tracemalloc.start()
     try:
         before = tracemalloc.take_snapshot().filter_traces(data)
-        ws = _Workspace(g, c, "gradient")
+        ws = _Workspace(g, c, "gradient", team)
         after = tracemalloc.take_snapshot().filter_traces(data)
     finally:
         tracemalloc.stop()
     allocated = sum(s.size_diff for s in after.compare_to(before, "filename"))
+    assert ws.v.shape == (3, 64 * team, 256)
     arrays = [ws.v, ws.F, ws.gsq, ws.d, ws.tmp, ws.W, ws.dt]
     pads = 2 * 3 * (g.nx + 2) * g.ny * 8
-    assert allocated <= sum(a.nbytes for a in arrays) + pads + 64 * (len(arrays) + 2)
+    control = 16 * 8
+    bound = sum(a.nbytes for a in arrays) + pads + control + 64 * (len(arrays) + 3)
+    if team == 1:
+        assert ws.arena is None and allocated <= bound
+    else:
+        assert ws.arena.nbytes <= bound and allocated < 1024
 
 
 def test_weights_are_read_only():
@@ -416,7 +434,7 @@ def test_recorded_step_matches_the_reference_kernel_on_edge_grids(spec, blocks, 
     assert out.state.field.values.flags.c_contiguous
 
 
-@pytest.mark.parametrize("run", ["evolve", "relax", "step", "ps_residual"])
+@pytest.mark.parametrize("run", ["evolve", "relax", "step"])
 def test_each_run_makes_one_workspace(grid32, monkeypatch, run):
     made = []
     init = _Workspace.__init__
@@ -431,6 +449,5 @@ def test_each_run_makes_one_workspace(grid32, monkeypatch, run):
     cfg = fixed(grid32, c, 3, flow_kind="landau_lifshitz")
     {"evolve": lambda: sf.evolve(u0, c, cfg),
      "relax": lambda: sf.relax(u0, c, tol=1e-30, max_steps=3),
-     "step": lambda: sf.step(FlowState(field=u0), c, cfg),
-     "ps_residual": lambda: sf.ps_residual(u0, c)}[run]()
+     "step": lambda: sf.step(FlowState(field=u0), c, cfg)}[run]()
     assert len(made) == 1
