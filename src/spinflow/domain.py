@@ -4,7 +4,8 @@ The domain is a rectangle with periodic boundary in both directions (a flat
 torus) sampled on a uniform node grid.  The coupling is a strictly positive
 scalar weight f defined on the nodes; for analytic kinds its gradient is
 stored in closed form, for sampled data it is precomputed with central
-differences.  Cutoff fields are compactly supported vector fields used by the
+differences; its 5-point stencil weights are built once, on first use.
+Cutoff fields are compactly supported vector fields used by the
 domain-variation diagnostics.  The periodic pads and central differences
 behind every other module also live here; the 5-point Laplacian, a weighted
 sum of neighbour differences, is operators._weighted_differences.
@@ -157,6 +158,21 @@ class Coupling:
     @property
     def is_constant(self) -> bool:
         return self.kind == "constant"
+
+    @cached_property
+    def _stencil_weights(self) -> np.ndarray:
+        """The read-only (4, nx, ny) weights of the 5-point sum of f (see
+        _weight_scales) for the x+1, x-1, y+1 and y-1 neighbours, on a cache
+        line; every workspace and one-shot evaluation on f reads this one."""
+        ax, bx, ay, by, _ = _weight_scales(self.grid.hx, self.grid.hy)
+        W = _aligned((4,) + self.grid.shape)
+        for k, a, b, f_k in ((0, ax, bx, self.grad_x), (2, ay, by, self.grad_y)):
+            af = self.values * a
+            np.multiply(f_k, b, W[k + 1])
+            np.add(af, W[k + 1], W[k])
+            np.subtract(af, W[k + 1], W[k + 1])
+        W.setflags(write=False)
+        return W
 
 
 def make_coupling(grid: Grid, kind: str, params: dict | None = None) -> Coupling:
@@ -536,6 +552,25 @@ class _Plan(list):
     def run(self) -> None:
         for ufunc, args in self:
             ufunc(*args)
+
+
+def _weight_scales(hx: float, hy: float) -> tuple[float, float, float, float, float]:
+    """(ax, bx, ay, by, scale): per node, in units of h^2, h = min(hx, hy),
+    a coupling f weighs the x+1 and x-1 neighbours ax f +- bx f_x and the y+1
+    and y-1 ones ay f +- by f_y, so that f lap u + grad f . grad u =
+    scale sum_k W_k (u_k - u), scale = 1 / h^2.  As ax, ay <= 1, no weight's
+    f term exceeds f, whichever spacing is the larger."""
+    h = min(hx, hy)
+    return (h / hx) ** 2, 0.5 * h * (h / hx), (h / hy) ** 2, 0.5 * h * h / hy, 1.0 / (h * h)
+
+
+def _aligned(shape: tuple[int, ...]) -> np.ndarray:
+    """An uninitialised float64 array of `shape` whose data starts on a
+    64-byte (cache-line) boundary: a view of a buffer 64 bytes longer."""
+    n = math.prod(shape)
+    buf = np.empty(n + 8)
+    skip = -buf.ctypes.data % 64 // 8
+    return buf[skip:skip + n].reshape(shape)
 
 
 class _Pad:

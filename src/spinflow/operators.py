@@ -9,7 +9,7 @@ rather than merely at stencil order.
 The flow right-hand side forms the defect as P_u(G), G = f lap u +
 grad f . grad u = div(f grad u) in its 5-point form: one weighted sum of
 neighbour differences, G = (1 / h^2) sum_k W_k (u_k - u) with
-h = min(hx, hy), whose per-node weights W fold the coupling in once per run.
+h = min(hx, hy), whose per-node weights W the coupling builds once.
 At |u| = 1, f*tau(u) differs from f lap u by the normal f |grad u|^2 u,
 which the one projection removes.  Only its row variant forms |grad u|^2.
 The Laplacian is the same sum with the weights of f = 1, and the tension
@@ -37,8 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import (Coupling, Grid, _dot, _eager, _grad_arrays, _grad_rows, _Pad, _pad_rows,
-                     _Plan, _readonly, _scale)
+from .domain import (Coupling, Grid, _aligned, _dot, _eager, _grad_arrays, _grad_rows, _Pad,
+                     _pad_rows, _Plan, _readonly, _scale, _weight_scales)
 from .field import SphereField
 
 
@@ -107,16 +107,6 @@ def _weighted_differences(call, pad: _Pad, W: np.ndarray, scale: float, out: np.
     return _scale(call, out, scale, out)
 
 
-def _weight_scales(hx: float, hy: float) -> tuple[float, float, float, float, float]:
-    """(ax, bx, ay, by, scale): per node, in units of h^2, h = min(hx, hy),
-    a coupling f weighs the x+1 and x-1 neighbours ax f +- bx f_x and the y+1
-    and y-1 ones ay f +- by f_y, so that f lap u + grad f . grad u =
-    scale sum_k W_k (u_k - u), scale = 1 / h^2.  As ax, ay <= 1, no weight's
-    f term exceeds f, whichever spacing is the larger."""
-    h = min(hx, hy)
-    return (h / hx) ** 2, 0.5 * h * (h / hx), (h / hy) ** 2, 0.5 * h * h / hy, 1.0 / (h * h)
-
-
 def _laplacian(a: np.ndarray, hx: float, hy: float) -> np.ndarray:
     """The periodic 5-point Laplacian of `a` along its last two axes: the
     weighted sum of the flow right-hand side with the weights of f = 1, read
@@ -126,15 +116,6 @@ def _laplacian(a: np.ndarray, hx: float, hy: float) -> np.ndarray:
     out, tmp = (np.empty(a.shape, a.dtype) for _ in range(2))
     return _weighted_differences(_eager, _pad_rows(a, 0, a.shape[-2]), (ax, ax, ay, ay), scale,
                                  out, tmp)
-
-
-def _aligned(shape: tuple[int, ...]) -> np.ndarray:
-    """An uninitialised float64 array of `shape` whose data starts on a
-    64-byte (cache-line) boundary: a view of a buffer 64 bytes longer."""
-    n = math.prod(shape)
-    buf = np.empty(n + 8)
-    skip = -buf.ctypes.data % 64 // 8
-    return buf[skip:skip + n].reshape(shape)
 
 
 def _arrays(shapes: list[tuple[int, ...]], shared: bool = False
@@ -177,27 +158,13 @@ def _row_blocks(shape: tuple[int, int], i0: int = 0, i1: int | None = None
     return [(a, min(a + rows, i1)) for a in range(i0, i1, rows)]
 
 
-def _weights(grid: Grid, coupling: Coupling, W: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """The stencil weights of the coupling, in units of min(hx, hy)^2 (see
-    _weight_scales), for the x+1, x-1, y+1 and y-1 neighbours, written into
-    the (4, nx, ny) W with the plane d as scratch (d holds ax f, then ay f),
-    so no temporary is made; returns a read-only view of W."""
-    ax, bx, ay, by, _ = _weight_scales(grid.hx, grid.hy)
-    for k, a, b, f_k in ((0, ax, bx, coupling.grad_x), (2, ay, by, coupling.grad_y)):
-        np.multiply(coupling.values, a, d)
-        np.multiply(f_k, b, W[k + 1])
-        np.add(d, W[k + 1], W[k])
-        np.subtract(d, W[k + 1], W[k + 1])
-    return _readonly(W)
-
-
-def _rhs_block(call, pad: _Pad, u: np.ndarray, W: np.ndarray, grid: Grid, F: np.ndarray,
-               s: np.ndarray, d: np.ndarray, tmp: np.ndarray, gsq: np.ndarray | None,
-               ll: bool) -> None:
-    """The calls of the right-hand side on the block of x-rows held by `pad`
-    (u: those rows; W, F, s, d, tmp and gsq: the block's rows of each):
-    with gsq, |grad u|^2 into gsq, then the defect into F and on LL (`ll`)
-    the velocity u x F + F into s, which is scratch otherwise."""
+def _rhs_block(call, pad: _Pad, W: np.ndarray, grid: Grid, F: np.ndarray, s: np.ndarray,
+               d: np.ndarray, tmp: np.ndarray, gsq: np.ndarray | None, ll: bool) -> None:
+    """The calls of the right-hand side on the block of x-rows u held by
+    `pad` (pad.views[0]; W, F, s, d, tmp and gsq: the block's rows of
+    each): with gsq, |grad u|^2 into gsq, then the defect into F and on LL
+    (`ll`) the velocity u x F + F into s, which is scratch otherwise."""
+    u = pad.views[0]
     if gsq is not None:
         # u_y goes into F, which is free until the sum is formed
         ux, uy = _grad_rows(call, pad, grid.hx, grid.hy, s, F)
@@ -358,17 +325,18 @@ class _Workspace:
     see _arrays), and the calls that write them, recorded as _Plans by the
     kernel functions of the eager operators when the workspace is made.
 
-    The arrays are v, F and |grad u|^2, two per-node scratch planes d and
-    tmp, the read-only (4, nx, ny) stencil weights W of the run's coupling
-    (see _weights), the 0-d `dt` and the control words of the team.  The
-    x-rows fall into one part per member of the team that will step the
-    run (`team_size`): `parts` are (i0, i1) with i0 <= i < i1, all x-rows
-    or the first half and the rest; `blocks` are the blocks of x-rows of
-    the parts, each part's in order.  `states` are two (3, nx, ny) views of padded buffers
-    that store each plane flat between two halo x-rows, as a _Pad does, so
-    the stencil reads its neighbours from the state itself.  `velocity` is
-    F on the gradient flow and v (LL) on any other kind; on the gradient
-    flow v is only the stencil's scratch, one block in size per part.
+    The arrays are v and F, both (3, nx, ny), |grad u|^2, two per-node
+    scratch planes d and tmp, the 0-d `dt` and the control words of the
+    team; `W` is the coupling's Coupling._stencil_weights, which each
+    process reads from its own memory.  The x-rows fall into one part per
+    member of the team that will step the run (`team_size`): `parts` are
+    (i0, i1) with i0 <= i < i1, all x-rows or the first half and the rest;
+    `blocks` are the blocks of x-rows of the parts, each part's in order.
+    `states` are two (3, nx, ny) views of padded buffers that store each
+    plane flat between two halo x-rows, as a _Pad does, so the stencil
+    reads its neighbours from the state itself.  `velocity` is F on the
+    gradient flow and v (LL) on any other kind, where v is only the
+    stencil's scratch.
 
     Per state buffer the workspace records, for the run's grid, coupling
     and flow kind, a tuple of one plan per part: in `rhs`, which write v
@@ -378,7 +346,7 @@ class _Workspace:
     halo row and the last part the bottom one; no part writes a row of
     another.  `team` replays the parts (see _Team).
 
-    Every array (and each padded buffer) starts on a 64-byte cache line,
+    Every array (each padded buffer and W too) starts on a 64-byte cache line,
     where numpy aligns only to 16 bytes: numpy's AVX-512 loops load 64 bytes
     at a time, and an array that starts off a line splits each such load
     across two lines.  On a 2-core AVX-512 Xeon the 128^2 LL rhs + step took
@@ -390,15 +358,15 @@ class _Workspace:
     """
 
     def __init__(self, grid: Grid, coupling: Coupling, kind: str, team_size: int = 1):
+        _check_same_grid(grid, coupling)
+        self.W = coupling._stencil_weights      # built before the arrays: its scratch is freed
         nx, ny = grid.shape
         half = (nx + 1) // 2
         self.parts = [(0, nx)] if team_size == 1 else [(0, half), (half, nx)]
         self.blocks = [b for part in self.parts for b in _row_blocks(grid.shape, *part)]
-        self.arena, (self.v, self.F, self.gsq, self.d, self.tmp, W, self.dt, ctl, *pads) = _arrays(
-            [(3, sum(self._scratch_rows()) if kind == "gradient" else nx, ny), (3, nx, ny),
-             (nx, ny), (nx, ny), (nx, ny), (4, nx, ny), (), (16,)] + [(3, (nx + 2) * ny)] * 2,
+        self.arena, (self.v, self.F, self.gsq, self.d, self.tmp, self.dt, ctl, *pads) = _arrays(
+            [(3, nx, ny)] * 2 + [(nx, ny)] * 3 + [(), (16,)] + [(3, (nx + 2) * ny)] * 2,
             shared=team_size > 1)
-        self.W = _weights(grid, coupling, W, self.d)
         self.velocity = self.F if kind == "gradient" else self.v
         self.states = tuple(p.reshape(3, nx + 2, ny)[:, 1:-1] for p in pads)
         self.rhs, self.row_rhs = ([tuple(self._record_rhs(p, grid, kind, rows, k)
@@ -419,25 +387,17 @@ class _Workspace:
             np.copyto(self.states[0], u)
         return 0
 
-    def _scratch_rows(self) -> list[int]:
-        """The x-rows of the first block of each part, its largest; no
-        part's first block is larger than the first part's."""
-        return [min(i1 - i0, self.blocks[0][1]) for i0, i1 in self.parts]
-
     def _record_rhs(self, pad: np.ndarray, grid: Grid, kind: str, rows: bool, k: int) -> _Plan:
         (nx, ny), plan = grid.shape, _Plan()
         padded = pad.reshape(3, nx + 2, ny)
-        u = padded[:, 1:-1]
         if k == 0:
             plan(np.copyto, padded[:, 0], padded[:, nx])       # the top halo: x-row nx - 1
         if k == len(self.parts) - 1:
             plan(np.copyto, padded[:, nx + 1], padded[:, 1])   # the bottom one: x-row 0
-        scratch = sum(self._scratch_rows()[:k])     # where part k's scratch starts (gradient)
         for i0, i1 in _row_blocks(grid.shape, *self.parts[k]):
-            s = self.v[:, scratch:scratch + i1 - i0] if kind == "gradient" else self.v[:, i0:i1]
-            _rhs_block(plan, _Pad(pad[:, i0 * ny:(i1 + 2) * ny], ny), u[:, i0:i1],
-                       self.W[:, i0:i1], grid, self.F[:, i0:i1], s, self.d[i0:i1],
-                       self.tmp[i0:i1], self.gsq[i0:i1] if rows else None, kind != "gradient")
+            _rhs_block(plan, _Pad(pad[:, i0 * ny:(i1 + 2) * ny], ny), self.W[:, i0:i1], grid,
+                       self.F[:, i0:i1], self.v[:, i0:i1], self.d[i0:i1], self.tmp[i0:i1],
+                       self.gsq[i0:i1] if rows else None, kind != "gradient")
         return plan
 
     def _record_step(self, u: np.ndarray, w: np.ndarray, i0: int, i1: int) -> _Plan:
@@ -502,21 +462,20 @@ def _one_shot(field: SphereField, coupling: Coupling, kind: str) -> np.ndarray:
     """The velocity of flow `kind` at `field` (F on the gradient flow), by
     the calls of the right-hand-side plan made at once on one padded copy
     of its values: no second state buffer, no plan and no team."""
-    _check_same_grid(field, coupling)
-    g, ll = field.grid, kind != "gradient"
+    g = field.grid
+    _check_same_grid(g, coupling)
+    W = coupling._stencil_weights       # built before the arrays: its scratch is freed
     (nx, ny), blocks = g.shape, _row_blocks(g.shape)
-    _, (out,) = _arrays([(3, nx, ny)])
     b = blocks[0][1]                                # the first block is the largest
-    _, (pad, W, d, tmp, other) = _arrays([(3, (nx + 2) * ny), (4, nx, ny), (nx, ny), (b, ny),
-                                          (3, nx if ll else b, ny)])
-    u = _pad_rows(field.values, 0, nx, pad).views[0]
-    W = _weights(g, coupling, W, d)
+    _, (out, other, pad, d, tmp) = _arrays([(3, nx, ny)] * 2 + [(3, (nx + 2) * ny)]
+                                           + [(b, ny)] * 2)
+    _pad_rows(field.values, 0, nx, pad)
+    ll = kind != "gradient"
     F, s = (other, out) if ll else (out, other)
     with np.errstate(over="ignore", invalid="ignore"):
         for i0, i1 in blocks:
-            _rhs_block(_eager, _Pad(pad[:, i0 * ny:(i1 + 2) * ny], ny), u[:, i0:i1],
-                       W[:, i0:i1], g, F[:, i0:i1], s[:, i0:i1] if ll else s[:, :i1 - i0],
-                       d[i0:i1], tmp[:i1 - i0], None, ll)
+            _rhs_block(_eager, _Pad(pad[:, i0 * ny:(i1 + 2) * ny], ny), W[:, i0:i1], g,
+                       F[:, i0:i1], s[:, i0:i1], d[:i1 - i0], tmp[:i1 - i0], None, ll)
     return out
 
 
@@ -551,6 +510,7 @@ def ll_velocity(field: SphereField, coupling: Coupling) -> TangentField:
     return TangentField(field.grid, _one_shot(field, coupling, "landau_lifshitz"))
 
 
-def _check_same_grid(field: SphereField, coupling: Coupling) -> None:
-    if coupling.values.shape != field.grid.shape:
+def _check_same_grid(grid: Grid, coupling: Coupling) -> None:
+    """Refuse a coupling on another grid: its weights carry that grid's spacing."""
+    if coupling.grid != grid:
         raise ValueError("field and coupling live on different grids")

@@ -415,9 +415,10 @@ def test_one_shot_operators_build_no_workspace(spec, kind, monkeypatch):
 
 
 def test_one_shot_operators_allocate_less_than_a_workspace():
-    # at 128^2: the result, one padded copy of u, the weights, d, one block
-    # of tmp and F (LL) or one block of scratch: about 15 planes, where a
-    # workspace holds 19 and its plans
+    # at 128^2: the coupling's weights, built at the first call before the
+    # rest, the result, one padded copy of u, one block each of d and tmp
+    # and F (LL) or the scratch: about 15 planes, where a workspace holds 15
+    # besides the weights, and its plans
     g = sf.make_grid(128, 128, 1.0, 1.0)
     c = cosine_coupling(g)
     u = sf.perturb(blob_field(g), 0.3, 5)

@@ -15,14 +15,16 @@ import numpy as np
 import pytest
 
 import spinflow as sf
+from spinflow import domain
 from spinflow import flow as flow_module
+from spinflow import operators
 from spinflow.flow import FlowState
 from spinflow.operators import _rhs_arrays, _Workspace
 from spinflow.relax import DEFAULT_SAFETY
 
 from conftest import blob_field, cosine_coupling
 from test_stencil_reference import component_major, node_major, ref_dot, ref_euler, \
-    ref_rhs_arrays, ref_stencil
+    ref_rhs_arrays, ref_stencil, ref_weights
 
 
 def fixed(grid, coupling, nsteps, **kw):
@@ -157,15 +159,16 @@ def test_rows_measure_the_state_they_belong_to(grid32, monkeypatch):
 @pytest.mark.parametrize("n, kind, team, lean, rows", [
     (128, "landau_lifshitz", 1, [37], [54]), (128, "landau_lifshitz", 2, [38, 38], [59, 59]),
     (64, "gradient", 1, [27], [44]), (64, "gradient", 2, [28, 28], [49, 49]),
-    (256, "gradient", 1, [110], [186]), (256, "gradient", 2, [55, 55], [97, 97])])
+    (256, "gradient", 1, [110], [194]), (256, "gradient", 2, [55, 55], [97, 97])])
 def test_plans_leave_out_the_normal_term(n, kind, team, lean, rows):
     # two halo copies (one per part in a team of two), then per block of
     # x-rows the weighted difference sum (12 calls and the two wrapped
     # columns: 14), one projection (11) and on LL u x F + F (10); the row
     # variant adds u_x and u_y (6), their two dots and the dots' sum (11)
     # per block.  A scaling by a scalar of a block that is not contiguous
+    # (a block of x-rows of a (3, nx, ny) array, unless it is all of them)
     # runs plane by plane (domain._scale): 3 calls, not 1, for the sum's
-    # scale and on row plans for u_y, and on LL for u_x too.  The stencil
+    # scale and on row plans for u_y and u_x, which goes into v.  The stencil
     # and the coupling terms took 21 calls where the sum takes 14; the
     # tension's |grad u|^2 u term and second projection took 28 more per
     # block.  Each part's step plan scales the velocity by dt into the
@@ -228,7 +231,7 @@ def test_uneven_grid_runs_as_two_blocks():
     g = sf.make_grid(*UNEVEN)
     ws = _Workspace(g, cosine_coupling(g), "gradient")
     assert ws.blocks == [(0, 126), (126, 160)]
-    assert ws.v.shape == (3, 126, 130)      # on the gradient flow v is one block of scratch
+    assert ws.v.shape == (3, 160, 130)      # v has the layout of F on either flow
 
 
 @pytest.mark.parametrize("team", [1, 2])
@@ -240,8 +243,8 @@ def test_workspace_arrays_start_on_a_cache_line(spec, kind, team):
     # numpy aligns array data to 16 bytes only; an AVX-512 loop loads 64
     # bytes at a time, so an array that starts off a cache line splits every
     # load across two lines.  Where ny % 8 == 0 every plane, state view and
-    # block of x-rows starts on a cache line too.  v on the gradient flow is
-    # one block in size: every block uses its first rows
+    # block of x-rows starts on a cache line too.  The weights W are the
+    # coupling's
     g = sf.make_grid(*spec)
     ws = _Workspace(g, cosine_coupling(g), kind, team)
     planes = (ws.gsq, ws.d, ws.tmp) + tuple(ws.W)
@@ -250,19 +253,20 @@ def test_workspace_arrays_start_on_a_cache_line(spec, kind, team):
     starts += [u.ctypes.data - u.strides[1] for u in ws.states]   # each buffer's first halo row
     if g.ny % 8 == 0:
         starts += [a[k].ctypes.data for a in vectors for k in range(3)]
-        blocked = vectors[1:] + planes + ((ws.v,) if ws.v.shape == ws.F.shape else ())
-        starts += [a[..., i0:i1, :].ctypes.data for i0, i1 in ws.blocks for a in blocked]
+        starts += [a[..., i0:i1, :].ctypes.data for i0, i1 in ws.blocks for a in vectors + planes]
     assert [s % 64 for s in starts] == [0] * len(starts)
 
 
 @pytest.mark.parametrize("team", [1, 2])
 def test_workspace_allocates_at_most_a_cache_line_per_array_beyond_its_arrays(team):
-    # at 256^2: v (one block per part on the gradient flow), F, gsq, d, tmp,
-    # the weights W, dt, the team's control words and two padded buffers;
-    # the alignment costs at most 64 B each.  A team of one allocates them
-    # from numpy, a team of two as one shared arena, outside numpy
+    # at 256^2: v, F, gsq, d, tmp, dt, the team's control words and two
+    # padded buffers; the alignment costs at most 64 B each.  A team of one
+    # allocates them from numpy, a team of two as one shared arena, outside
+    # numpy.  The weights W are the coupling's, built before, not the
+    # workspace's
     g = sf.make_grid(256, 256, 1.0, 1.0)
     c = cosine_coupling(g)
+    c._stencil_weights      # built here, so only the workspace's own arrays are counted
     data = [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]
     tracemalloc.start()
     try:
@@ -272,8 +276,9 @@ def test_workspace_allocates_at_most_a_cache_line_per_array_beyond_its_arrays(te
     finally:
         tracemalloc.stop()
     allocated = sum(s.size_diff for s in after.compare_to(before, "filename"))
-    assert ws.v.shape == (3, 64 * team, 256)
-    arrays = [ws.v, ws.F, ws.gsq, ws.d, ws.tmp, ws.W, ws.dt]
+    assert ws.v.shape == ws.F.shape == (3, 256, 256)
+    assert ws.W is c._stencil_weights
+    arrays = [ws.v, ws.F, ws.gsq, ws.d, ws.tmp, ws.dt]
     pads = 2 * 3 * (g.nx + 2) * g.ny * 8
     control = 16 * 8
     bound = sum(a.nbytes for a in arrays) + pads + control + 64 * (len(arrays) + 3)
@@ -285,10 +290,10 @@ def test_workspace_allocates_at_most_a_cache_line_per_array_beyond_its_arrays(te
 
 def test_weights_are_read_only():
     g = sf.make_grid(*UNEVEN)
-    ws = _Workspace(g, cosine_coupling(g), "landau_lifshitz")
-    assert ws.W.shape == (4,) + g.shape and not ws.W.flags.writeable
+    W = cosine_coupling(g)._stencil_weights
+    assert W.shape == (4,) + g.shape and not W.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
-        ws.W[0, 0, 0] = 1.0
+        W[0, 0, 0] = 1.0
 
 
 @pytest.mark.parametrize("spec", [(64, 64, 1.0, 1.0), UNEVEN, (16, 32, 1.0, 1.0)],
@@ -301,8 +306,98 @@ def test_weights_of_a_huge_coupling_make_no_warning(spec):
     c = sf.Coupling(g, "custom-sampled", np.full(g.shape, 1e308), zeros, zeros)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        ws = _Workspace(g, c, "landau_lifshitz")
-    assert np.all(np.isfinite(ws.W))
+        W = c._stencil_weights
+    assert np.all(np.isfinite(W))
+
+
+def test_weights_are_one_aligned_array_per_coupling_built_once(monkeypatch):
+    # hx != hy: the weights carry the coupling's own spacing
+    g = sf.make_grid(40, 24, 1.3, 0.7)
+    c = cosine_coupling(g)
+    aligned, built = domain._aligned, []
+
+    def counted(shape):
+        built.append(shape)
+        return aligned(shape)
+
+    monkeypatch.setattr(domain, "_aligned", counted)
+    W = c._stencil_weights
+    assert c._stencil_weights is W and built == [(4,) + g.shape]
+    assert W.ctypes.data % 64 == 0 and W.flags.c_contiguous and not W.flags.writeable
+    want = ref_weights(c.values, c.grad_x, c.grad_y, g.hx, g.hy)
+    assert all(np.array_equal(w, r) for w, r in zip(W, want))
+    u = blob_field(g)
+    for kind in ("gradient", "landau_lifshitz"):
+        _Workspace(g, c, kind)
+        sf.evolve(u, c, fixed(g, c, 2, flow_kind=kind))
+    sf.relax(u, c, tol=1e-30, max_steps=2)
+    sf.ps_residual(u, c)
+    sf.ll_velocity(u, c)
+    assert built == [(4,) + g.shape]
+
+
+def test_every_evaluation_on_a_coupling_reads_its_weights(monkeypatch):
+    # the workspaces of runs (a team of two at 64^2 where two CPUs are
+    # free), of either team size made directly and the one-shot operators
+    # all read the coupling's one array; a team's shared arena holds none
+    # of it, so each process reads the weights from its own memory
+    g = sf.make_grid(64, 64, 1.0, 1.0)
+    c = cosine_coupling(g)
+    W = c._stencil_weights
+    seen, rhs = [], flow_module._rhs_arrays
+
+    def spy(u, ws, *args):
+        seen.append(ws)
+        return rhs(u, ws, *args)
+
+    monkeypatch.setattr(flow_module, "_rhs_arrays", spy)
+    u = blob_field(g)
+    sf.evolve(u, c, fixed(g, c, 3, flow_kind="landau_lifshitz"))
+    sf.relax(u, c, tol=1e-30, max_steps=3)
+    sf.step(FlowState(field=u), c, fixed(g, c, 1))
+    runs = {id(ws): ws for ws in seen}.values()
+    assert len(runs) == 3
+    made = [_Workspace(g, c, kind, team) for kind in ("gradient", "landau_lifshitz")
+            for team in (1, 2)]
+    for ws in list(runs) + made:
+        assert ws.W is W
+        if ws.arena is not None:
+            lo, hi = ws.arena.ctypes.data, ws.arena.ctypes.data + ws.arena.nbytes
+            assert W.ctypes.data + W.nbytes <= lo or hi <= W.ctypes.data
+    assert [ws.arena is None for ws in made] == [True, False] * 2
+    block, blocks = operators._rhs_block, []
+
+    def read(call, pad, w, *args):
+        blocks.append(w)
+        return block(call, pad, w, *args)
+
+    monkeypatch.setattr(operators, "_rhs_block", read)
+    sf.ps_residual(u, c)
+    sf.ll_velocity(u, c)
+    assert len(blocks) == 2
+    for w in blocks:
+        assert w.ctypes.data == W.ctypes.data and w.strides == W.strides
+        assert w.shape == W.shape
+
+
+@pytest.mark.parametrize("entry", ["evolve", "relax", "step", "ps_residual", "ll_velocity"])
+@pytest.mark.parametrize("spec", [(64, 64, 2.0, 2.0), (128, 64, 1.0, 1.0)],
+                         ids=["64x64-on-2x2", "128x64"])
+def test_a_coupling_from_another_grid_is_refused(entry, spec):
+    # the weights carry the coupling's shape and spacing: under a field on
+    # the 64x64 unit torus a coupling of the same shape on the 2x2 torus
+    # would step with the wrong spacing, a taller one on its first rows
+    g = sf.make_grid(64, 64, 1.0, 1.0)
+    c = cosine_coupling(sf.make_grid(*spec))
+    u = blob_field(g)
+    cfg = sf.FlowConfig(dt_policy="fixed", dt=1e-6, t_end=1e-5)
+    call = {"evolve": lambda: sf.evolve(u, c, cfg),
+            "relax": lambda: sf.relax(u, c, tol=1e-30, max_steps=10),
+            "step": lambda: sf.step(FlowState(field=u), c, cfg),
+            "ps_residual": lambda: sf.ps_residual(u, c),
+            "ll_velocity": lambda: sf.ll_velocity(u, c)}[entry]
+    with pytest.raises(ValueError, match="^field and coupling live on different grids$"):
+        call()
 
 
 def test_constant_field_is_stationary_bit_for_bit_on_an_uneven_grid():
