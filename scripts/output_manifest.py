@@ -18,7 +18,10 @@ Printed, in order, per workload and seed:
     <sha256>  <workload>/<seed>/<command>.stdout       and its two streams
     <sha256>  <workload>/<seed>/<command>.stderr
     <sha256>  <workload>/<seed>/out/<path>             per output file
+    <sha256>  <workload>/<seed>/out/<path>:<column>    per column of a .csv
 
+A column's digest is that of its cells, the header's name first, one per
+line, so a diff of two manifests names each column whose bytes moved.
 Nothing is written outside the temporary directory, which is removed, and
 no process is left running.  To compare a change with its parent:
 
@@ -67,6 +70,14 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _columns(data: bytes) -> list[tuple[str, str]]:
+    """(name, digest) per column of comma-separated `data`, whose first
+    line is the header."""
+    rows = [line.split(",") for line in data.decode("utf-8").splitlines()]
+    return [(rows[0][k], _sha("\n".join(row[k] if k < len(row) else "" for row in rows).encode()))
+            for k in range(len(rows[0]))] if rows else []
+
+
 def manifest(name: str, seed: int, src: str, tmp: str) -> list[str]:
     """The manifest lines of one workload at one seed, run in `tmp`."""
     workload, tag = WORKLOADS[name], f"{name}/{seed}"
@@ -86,7 +97,10 @@ def manifest(name: str, seed: int, src: str, tmp: str) -> list[str]:
                    for top, _, files in os.walk(out) for f in files)
     for path in paths:
         with open(os.path.join(out, path), "rb") as fh:
-            lines.append(f"{_sha(fh.read())}  {tag}/out/{path}")
+            data = fh.read()
+        lines.append(f"{_sha(data)}  {tag}/out/{path}")
+        if path.endswith(".csv"):
+            lines += [f"{digest}  {tag}/out/{path}:{column}" for column, digest in _columns(data)]
     return lines
 
 

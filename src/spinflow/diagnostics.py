@@ -135,9 +135,13 @@ def _local_energies(grid: Grid, density: np.ndarray, p, radii,
         total = density.sum()
     if node is not None and math.isfinite(total):
         i, j = node
+        # flat offsets of x-rows i + di and columns j + dj: a window node takes its
+        # wrapped index from these, where a modulo per window node took twice as long
+        x, y = (np.arange(i, i + grid.nx) % grid.nx) * grid.ny, np.arange(j, j + grid.ny) % grid.ny
+        flat = density.ravel()
         windows = (_disc_window(grid, r) for r in radii)
-        return tuple(float((density[(i + di) % grid.nx, (j + dj) % grid.ny] * w).sum()
-                           * grid.cell_area) for di, dj, w in windows)
+        return tuple(float((flat[x[di] + y[dj]] * w).sum() * grid.cell_area)
+                     for di, dj, w in windows)
     x, y = grid.mesh()
     d = np.hypot(grid.wrap_dx(x - p[0]), grid.wrap_dy(y - p[1]))
     with np.errstate(invalid="ignore"):

@@ -278,8 +278,9 @@ class CriticalSet:
         if self.everywhere:
             return 0.0
         best = math.inf
-        for p in self.points:
-            best = min(best, float(grid.distance(x, y, p.x, p.y)))
+        if self.points:
+            px, py = np.array([(p.x, p.y) for p in self.points]).T
+            best = float(grid.distance(x, y, px, py).min())
         for ln in self.lines:
             if ln.axis == "x":
                 best = min(best, abs(float(grid.wrap_dx(x - ln.coordinate))))

@@ -22,11 +22,13 @@ A run of more than one step on a grid of at least operators.TEAM_NODES
 nodes, in a process with one thread and two CPUs in its affinity mask, is
 stepped by two processes: the workspace lives in shared memory, the main
 process replays the first half of the x-rows of each plan and a worker
-forked for the run the second half, each renormalising its own rows.  The
-main process alone forms int |v|^2, scans for a blow-up, checks the norms,
-tests for an exact stationary point and measures every ledger row, on the
-whole arrays once both halves are written.  The worker is killed when the
-run ends.  `taskset -c 0` (one CPU) gives a run of one process.
+forked for the run the second half, each renormalising its own rows.
+Either way int |v|^2 is (the sum over the first half + the sum over the
+second) * cell_area, and each step bounds the norms of each half: the plans
+write these slots, and main reads them, scans the whole grid only for the
+node of a blow-up they show, tests for an exact stationary point and
+measures every ledger row.  The worker is killed when the run ends.
+`taskset -c 0` (one CPU) gives a run of one process.
 """
 
 from __future__ import annotations
@@ -167,10 +169,13 @@ def _check_velocity(v: np.ndarray, v_sq: float, t: float, nstep: int) -> None:
         _raise_blowup(~np.isfinite(v).all(axis=0), "non-finite velocity", t, nstep)
 
 
-def _project_unit(w: np.ndarray, t: float, nstep: int, norms: np.ndarray) -> np.ndarray:
+def _project_unit(w: np.ndarray, t: float, nstep: int, bounds: np.ndarray,
+                  norms: np.ndarray) -> np.ndarray:
     """Check the norms |w| in `norms` by which the step divided each node of
-    w, and return w: a norm that is zero or not finite is a blow-up."""
-    if not (norms.min() > 0.0 and math.isfinite(norms.max())):   # NaN fails both
+    w, from `bounds`, their (least, greatest) per half of the x-rows, and
+    return w: a norm that is zero or not finite is a blow-up, and only then
+    are the nodes scanned."""
+    if not all(lo > 0.0 and math.isfinite(hi) for lo, hi in bounds.tolist()):  # NaN fails both
         _raise_blowup(~(np.isfinite(norms) & (norms > 0.0)), "renormalization failed", t, nstep)
     return w
 
@@ -180,8 +185,8 @@ def _apply_step(u: np.ndarray, v_sq: float, t: float, nstep: int, ws: _Workspace
     evaluation in `ws` and v_sq = int |v|^2, and return the new state: u
     itself at an exact stationary point, else the state buffer of `ws` that
     does not hold u, so u stays the last valid state if this fails.  The
-    parts of the step plan each renormalise their own x-rows; the norms
-    are checked here, on all of them."""
+    parts of the step plan each renormalise their own x-rows and bound
+    their norms; the bounds are checked here."""
     # v_sq > 0 already shows that v is not zero
     if not v_sq > 0 and not ws.velocity.any():
         # exact stationary point: keep the state bitwise unchanged
@@ -191,7 +196,7 @@ def _apply_step(u: np.ndarray, v_sq: float, t: float, nstep: int, ws: _Workspace
         # overflow here is the under-resolved blow-up signature; the
         # projection guard turns it into a structured error
         ws.team.run(ws.step[i])
-    return _project_unit(ws.states[1 - i], t, nstep, ws.d)
+    return _project_unit(ws.states[1 - i], t, nstep, ws.bounds, ws.d)
 
 
 def _step_budget(t_end: float, dt: float) -> int:
@@ -253,8 +258,8 @@ def _steps(field: SphereField, coupling: Coupling, config: FlowConfig, dt: float
             try:
                 rows = row_every > 0 and (n % row_every == 0 or n == budget)
                 v, F, gsq = _rhs_arrays(u, ws, rows)
-                # einsum, not the 2-5x faster np.dot: its bits vary with OPENBLAS_NUM_THREADS
-                v_sq = float(np.einsum("ijk,ijk->", v, v) * grid.cell_area)
+                first, second = ws.sums.tolist()     # the halves' sums of |v|^2
+                v_sq = (first + second) * grid.cell_area
                 if n < budget:
                     _check_velocity(v, v_sq, t, n0 + n)
                 yield n, t, u, v, F, grad_sq, v_sq

@@ -20,7 +20,8 @@ calls (plans), one per part of the x-rows.  A run on two CPUs splits the
 x-rows into two halves and keeps the arrays in one shared arena, and a
 _Team of the main process and one forked worker replays the two parts of
 each plan at once; every call is the same element-wise ufunc call on the
-same rows, so the bits do not depend on who makes it.  ps_residual and
+same rows, so the bits do not depend on who makes it; so are the
+reductions of each half into slots that main reads.  ps_residual and
 ll_velocity make the calls of one evaluation at once on one padded copy of
 u, with no workspace.
 """
@@ -67,14 +68,18 @@ class TangentField:
         return float((inner / np.maximum(norms, 1e-300)).max(initial=0.0))
 
 
-def _project(call, w: np.ndarray, u: np.ndarray, d: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+def _project(call, w: np.ndarray, u: np.ndarray, d: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Tangential projection w - <w, u> u in place (assumes |u| = 1), with
-    <w, u> written into `d` and the products into `tmp`."""
-    _dot(w, u, d, tmp, call)
-    for k in range(3):
-        call(np.multiply, d, u[k], tmp)
-        call(np.subtract, w[k], tmp, w[k])
+    <w, u> written into `d` and the products into the 3-plane scratch `s`."""
+    _dot(w, u, d, s[0], call)
+    call(np.multiply, d, u, s)
+    call(np.subtract, w, s, w)
     return w
+
+
+def _sum_squares(a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """sum a * a into the 0-d `out`; einsum, as np.dot's bits vary with OPENBLAS_NUM_THREADS."""
+    return np.einsum("ijk,ijk->", a, a, out=out)
 
 
 def _cross(call, a: np.ndarray, b: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
@@ -171,7 +176,7 @@ def _rhs_block(call, pad: _Pad, W: np.ndarray, grid: Grid, F: np.ndarray, s: np.
         _dot(ux, ux, gsq, tmp, call)
         call(np.add, gsq, _dot(uy, uy, d, tmp, call), gsq)
     _weighted_differences(call, pad, W, _weight_scales(grid.hx, grid.hy)[4], F, s)
-    _project(call, F, u, d, tmp)
+    _project(call, F, u, d, s)
     if ll:
         # the block's LL velocity goes where the scratch was
         _cross(call, u, F, s, tmp)
@@ -326,16 +331,17 @@ class _Workspace:
     kernel functions of the eager operators when the workspace is made.
 
     The arrays are v and F, both (3, nx, ny), |grad u|^2, two per-node
-    scratch planes d and tmp, the 0-d `dt` and the control words of the
-    team; `W` is the coupling's Coupling._stencil_weights, which each
-    process reads from its own memory.  The x-rows fall into one part per
-    member of the team that will step the run (`team_size`): `parts` are
-    (i0, i1) with i0 <= i < i1, all x-rows or the first half and the rest;
-    `blocks` are the blocks of x-rows of the parts, each part's in order.
-    `states` are two (3, nx, ny) views of padded buffers that store each
-    plane flat between two halo x-rows, as a _Pad does, so the stencil
-    reads its neighbours from the state itself.  `velocity` is F on the
-    gradient flow and v (LL) on any other kind, where v is only the
+    scratch planes d and tmp, the 0-d `dt`, the slots `sums` and `bounds`
+    and the control words of the team; `W` is the coupling's
+    Coupling._stencil_weights, which each process reads from its own
+    memory.  The x-rows fall into two `halves`, rows [0, ceil(nx/2)) and
+    the rest, and into one part per member of the team that will step the
+    run (`team_size`): `parts` are (i0, i1) with i0 <= i < i1, all x-rows or
+    the two halves; `blocks` are the blocks of x-rows of the parts, each
+    part's in order.  `states` are two (3, nx, ny) views of padded buffers
+    that store each plane flat between two halo x-rows, as a _Pad does, so
+    the stencil reads its neighbours from the state itself.  `velocity` is F
+    on the gradient flow and v (LL) on any other kind, where v is only the
     stencil's scratch.
 
     Per state buffer the workspace records, for the run's grid, coupling
@@ -344,7 +350,10 @@ class _Workspace:
     `step`, which write u + dt velocity into the other state buffer, its
     norms into d, and divide it by them.  Part 0 first refreshes the top
     halo row and the last part the bottom one; no part writes a row of
-    another.  `team` replays the parts (see _Team).
+    another.  Each part ends by reducing each half h it holds (a team of
+    one's both): an rhs plan sums |velocity|^2 into sums[h], a step plan
+    takes the least and greatest norm into bounds[h].  `team` replays the
+    parts (see _Team).
 
     Every array (each padded buffer and W too) starts on a 64-byte cache line,
     where numpy aligns only to 16 bytes: numpy's AVX-512 loops load 64 bytes
@@ -354,7 +363,8 @@ class _Workspace:
     ms aligned.
 
     Whoever holds the workspace owns these arrays: the next evaluation
-    overwrites v, F and the scratch, and each step the other state buffer.
+    overwrites v, F, the scratch and `sums`, and each step the other state
+    buffer and `bounds`.
     """
 
     def __init__(self, grid: Grid, coupling: Coupling, kind: str, team_size: int = 1):
@@ -362,11 +372,13 @@ class _Workspace:
         self.W = coupling._stencil_weights      # built before the arrays: its scratch is freed
         nx, ny = grid.shape
         half = (nx + 1) // 2
-        self.parts = [(0, nx)] if team_size == 1 else [(0, half), (half, nx)]
+        self.halves = [(0, half), (half, nx)]
+        self.parts = [(0, nx)] if team_size == 1 else self.halves
         self.blocks = [b for part in self.parts for b in _row_blocks(grid.shape, *part)]
-        self.arena, (self.v, self.F, self.gsq, self.d, self.tmp, self.dt, ctl, *pads) = _arrays(
-            [(3, nx, ny)] * 2 + [(nx, ny)] * 3 + [(), (16,)] + [(3, (nx + 2) * ny)] * 2,
-            shared=team_size > 1)
+        self.arena, arrays = _arrays([(3, nx, ny)] * 2 + [(nx, ny)] * 3 + [(), (2,), (2, 2), (16,)]
+                                     + [(3, (nx + 2) * ny)] * 2, shared=team_size > 1)
+        self.v, self.F, self.gsq, self.d, self.tmp, self.dt, *arrays = arrays
+        self.sums, self.bounds, ctl, *pads = arrays
         self.velocity = self.F if kind == "gradient" else self.v
         self.states = tuple(p.reshape(3, nx + 2, ny)[:, 1:-1] for p in pads)
         self.rhs, self.row_rhs = ([tuple(self._record_rhs(p, grid, kind, rows, k)
@@ -398,6 +410,9 @@ class _Workspace:
             _rhs_block(plan, _Pad(pad[:, i0 * ny:(i1 + 2) * ny], ny), self.W[:, i0:i1], grid,
                        self.F[:, i0:i1], self.v[:, i0:i1], self.d[i0:i1], self.tmp[i0:i1],
                        self.gsq[i0:i1] if rows else None, kind != "gradient")
+        for h, (a, b) in enumerate(self.halves):
+            if self.parts[k][0] <= a < self.parts[k][1]:
+                plan(_sum_squares, self.velocity[:, a:b], self.sums[h, ...])
         return plan
 
     def _record_step(self, u: np.ndarray, w: np.ndarray, i0: int, i1: int) -> _Plan:
@@ -407,6 +422,10 @@ class _Workspace:
         plan(np.add, w, u, w)
         plan(np.sqrt, _dot(w, w, d, self.tmp[i0:i1], plan), d)
         plan(np.divide, w, d, w)
+        for h, (a, b) in enumerate(self.halves):
+            if i0 <= a < i1:
+                plan(np.minimum.reduce, self.d[a:b], None, None, self.bounds[h, 0, ...])
+                plan(np.maximum.reduce, self.d[a:b], None, None, self.bounds[h, 1, ...])
         return plan
 
 
@@ -488,7 +507,7 @@ def tension(field: SphereField) -> TangentField:
     """
     g, u = field.grid, field.values
     tau = _laplacian(u, g.hx, g.hy)
-    return TangentField(g, _project(_eager, tau, u, *np.empty((2,) + g.shape)))
+    return TangentField(g, _project(_eager, tau, u, np.empty(g.shape), np.empty(u.shape)))
 
 
 def ps_residual(field: SphereField, coupling: Coupling) -> TangentField:

@@ -147,6 +147,23 @@ class TestDiscWindow:
             for r, a, b in zip(radii, got, ref):
                 assert abs(a - b) <= WINDOW_REL * abs(b), (shape, (i, j), r, a, b)
 
+    @pytest.mark.parametrize("shape, radii", CASES, ids=["24x20", "64x64", "256x256"])
+    def test_window_sums_match_the_modulo_gather_bit_for_bit(self, shape, radii):
+        # the window takes its nodes from the flat density through the wrap
+        # tables: the elements, their order and the sums of the gather
+        # density[(i + di) % nx, (j + dj) % ny], including the wrapped ones
+        nx, ny, lx, ly = shape
+        g = sf.make_grid(nx, ny, lx, ly)
+        rng = np.random.default_rng(nx + ny)
+        density = rng.random(g.shape)
+        nodes = [(0, 0), (nx - 1, ny - 1), (nx - 1, 0), (0, ny - 1), (nx // 2, ny // 3)]
+        nodes += [tuple(int(k) for k in rng.integers(0, (nx, ny))) for _ in range(3)]
+        for i, j in nodes:
+            got = diagnostics._local_energies(g, density, (i * g.hx, j * g.hy), radii)
+            want = tuple(float((density[(i + di) % nx, (j + dj) % ny] * w).sum() * g.cell_area)
+                         for di, dj, w in (diagnostics._disc_window(g, r) for r in radii))
+            assert got == want, (shape, (i, j))
+
     def test_disc_past_the_torus_diameter_covers_every_node_once(self, grid64):
         di, dj, w = diagnostics._disc_window(grid64, 0.75)
         assert np.all(w == 1.0)

@@ -172,6 +172,21 @@ class TestCriticalPoints:
             assert g.distance(p.x, p.y, match[0], match[1]) < g.hx
             assert p.kind == analytic[match]
 
+    @pytest.mark.parametrize("shape", [(64, 64, 1.0, 1.0), (40, 24, 1.3, 0.7)])
+    def test_distance_to_points_matches_the_per_point_loop_bit_for_bit(self, shape):
+        # one evaluation on the points' coordinate arrays, then its minimum
+        g = sf.make_grid(*shape)
+        cs = sf.critical_points(cosine_coupling(g))
+        assert cs.kind == "points" and len(cs.points) == 4
+        rng = np.random.default_rng(7)
+        xs = rng.uniform(-0.5 * g.lx, 1.5 * g.lx, 2000)
+        ys = rng.uniform(-0.5 * g.ly, 1.5 * g.ly, 2000)
+        for x, y in zip(xs.tolist(), ys.tolist()):
+            want = math.inf
+            for p in cs.points:
+                want = min(want, float(g.distance(x, y, p.x, p.y)))
+            assert cs.distance_to(x, y, g) == want, (x, y)
+
     def test_nearest_point(self, grid64):
         cs = sf.critical_points(cosine_coupling(grid64))
         p = cs.nearest_point(0.7, 0.5, grid64)

@@ -222,12 +222,14 @@ class TestEvolve:
         calls = []
         rhs = flow_module._rhs_arrays
 
-        def failing_rhs(*args):
-            v, F, gsq = rhs(*args)
+        def failing_rhs(u, ws, *rest):
+            v, F, gsq = rhs(u, ws, *rest)
             calls.append(1)
             if len(calls) == 4:
-                v = v.copy()
+                # node (7, 2) lies in the first half of the x-rows, whose
+                # sum of |v|^2 the rhs plan wrote into ws.sums[0]
                 v[1, 7, 2] = np.nan
+                ws.sums[0] = np.nan
             return v, F, gsq
 
         monkeypatch.setattr(flow_module, "_rhs_arrays", failing_rhs)
@@ -368,9 +370,13 @@ class TestBlowUpNode:
         assert (err.state.step, err.state.t) == (0, 0.0)
 
     def test_renormalization(self):
-        # the projection guard reads the component-major step array
+        # the projection guard reads the bounds of the norms of each half of
+        # the x-rows, and then the component-major norms for the node
         w = np.ones((3, 24, 20))
         w[2][self.NODE] = np.nan
-        with pytest.raises(sf.BlowUpError) as exc:
-            _project_unit(w, 0.0, 0, np.sqrt(_dot(w, w)))
+        norms = np.sqrt(_dot(w, w))
+        bounds = np.array([[h.min(), h.max()] for h in (norms[:12], norms[12:])])
+        assert _project_unit(w[:, :12], 0.0, 0, bounds[:1], norms[:12]) is not None
+        with pytest.raises(sf.BlowUpError, match="renormalization failed") as exc:
+            _project_unit(w, 0.0, 0, bounds, norms)
         assert exc.value.node == self.NODE

@@ -6,6 +6,7 @@ no worker may outlive its run, however the run ends.  The team size is
 forced here by patching flow._team_size; the last tests use the real rule.
 """
 
+import math
 import os
 import signal
 import subprocess
@@ -173,12 +174,14 @@ UNEVEN = (160, 130, 1.0, 1.0)
 
 @pytest.mark.parametrize("f, failure", [(1e308, "non-finite velocity"),
                                         (1e300, "renormalization failed")])
-def test_blow_up_in_the_second_part_names_its_node(f, failure, team):
-    # node (140, 7) lies in the x-rows the worker steps, 80 <= i < 160
+@pytest.mark.parametrize("node", [(140, 7), (20, 7)], ids=["worker-half", "main-half"])
+def test_blow_up_in_either_part_names_its_node(node, f, failure, team):
+    # node (140, 7) lies in the x-rows the worker steps, 80 <= i < 160,
+    # node (20, 7) in those main steps
     size, forks = team
     g = sf.make_grid(*UNEVEN)
     values = np.ones(g.shape)
-    values[140, 7] = f
+    values[node] = f
     zeros = np.zeros(g.shape)
     c = sf.Coupling(g, "custom-sampled", values, zeros, zeros)
     u0 = sf.perturb(blob_field(g), 0.3, 5)
@@ -187,8 +190,86 @@ def test_blow_up_in_the_second_part_names_its_node(f, failure, team):
         for _ in flow_module._steps(u0, c, cfg, cfg.dt, 10):
             pass
     assert len(forks) == size - 1
-    assert err.value.node == (140, 7) and err.value.step == 0
+    assert err.value.node == node and err.value.step == 0
     assert err.value.state.field is u0
+
+
+@needs_fork
+@pytest.mark.parametrize("bad", [0.0, np.nan], ids=["zero", "nan"])
+@pytest.mark.parametrize("node", [(20, 7), (140, 7)], ids=["first-half", "second-half"])
+@pytest.mark.parametrize("size", [1, 2])
+def test_a_failed_norm_in_either_half_names_its_node(size, node, bad):
+    # u + dt v has a zero or NaN norm at `node` only: the step plan's bounds
+    # of that half show it, and main's scan of the norms names the node
+    g = sf.make_grid(*UNEVEN)
+    ws = _Workspace(g, cosine_coupling(g), "gradient", size)
+    ws.dt[...] = 1e-3
+    u = ws.states[0]
+    np.copyto(u, blob_field(g).values)
+    u[:, node[0], node[1]] = bad
+    ws.F.fill(0.0)                      # the velocity of the gradient flow
+    ws.F[2, 0, 0] = 1.0
+    if size == 2:
+        ws.team.start()
+    try:
+        with pytest.raises(sf.BlowUpError) as err:
+            flow_module._apply_step(u, g.cell_area, 0.5, 3, ws)
+    finally:
+        ws.team.close()
+    assert str(err.value) == (f"blow-up under-resolved: renormalization failed at node {node}, "
+                              f"t = 0.5, step = 3")
+    assert err.value.node == node and err.value.step == 3
+    h = int(node[0] >= ws.halves[1][0])
+    assert not ws.bounds[h, 0] > 0.0
+    assert ws.bounds[1 - h, 0] > 0.0 and math.isfinite(ws.bounds[1 - h, 1])
+
+
+# -- the per-part reductions -------------------------------------------------
+
+REDUCTION_GRIDS = [(64, 64, 1.0, 1.0), (128, 128, 1.0, 1.0), (49, 64, 1.0, 1.0)]
+REDUCTION_IDS = ["64x64", "128x128", "49x64"]
+
+
+def half_sums(v, cell_area):
+    """int |v|^2 as the plans define it: (the sum of |v|^2 over the x-rows
+    [0, ceil(nx/2)) + the sum over the rest) * cell_area."""
+    h = (v.shape[1] + 1) // 2
+    first, second = (float(np.einsum("ijk,ijk->", a, a)) for a in (v[:, :h], v[:, h:]))
+    return (first + second) * cell_area
+
+
+@pytest.mark.parametrize("kind", ["gradient", "landau_lifshitz"])
+@pytest.mark.parametrize("spec", REDUCTION_GRIDS, ids=REDUCTION_IDS)
+def test_v_norm_sq_is_the_sum_of_the_halves_sums(spec, kind, team):
+    g = sf.make_grid(*spec)
+    c = cosine_coupling(g)
+    u0 = sf.perturb(blob_field(g), 0.3, 5)
+    cfg = fixed(g, c, 12, flow_kind=kind)
+    want = []
+    for _, _, _, v, _, _, v_sq in flow_module._steps(u0, c, cfg, cfg.dt, 12):
+        assert v_sq == half_sums(v, g.cell_area)
+        full = float(np.einsum("ijk,ijk->", v, v)) * g.cell_area
+        assert abs(v_sq - full) <= 1e-14 * full
+        want.append(v_sq)
+    assert [row.v_norm_sq for row in sf.evolve(u0, c, cfg).ledger.rows] == want
+
+
+@needs_fork
+@pytest.mark.parametrize("kind", ["gradient", "landau_lifshitz"])
+@pytest.mark.parametrize("spec", REDUCTION_GRIDS, ids=REDUCTION_IDS)
+def test_ledger_and_relax_history_do_not_depend_on_the_team_size(spec, kind, monkeypatch, forks):
+    g = sf.make_grid(*spec)
+    c = cosine_coupling(g)
+    u0 = sf.perturb(blob_field(g), 0.3, 5)
+    cfg = fixed(g, c, 12, flow_kind=kind)
+    out = []
+    for size in (1, 2):
+        monkeypatch.setattr(flow_module, "_team_size", lambda grid, budget: size)
+        ledger = sf.evolve(u0, c, cfg).ledger.to_csv_text()
+        history = sf.relax(u0, c, tol=1e-30, max_steps=12).history
+        out.append((ledger, history))
+    assert len(forks) == 2
+    assert out[0] == out[1]
 
 
 @needs_fork

@@ -54,11 +54,12 @@ def relax_with_rising_defect(grid, monkeypatch, best):
     rhs = flow_module._rhs_arrays
     calls = []
 
-    def rising_rhs(*args):
-        v, F, gsq = rhs(*args)
+    def rising_rhs(u, ws, *rest):
+        v, F, gsq = rhs(u, ws, *rest)
         calls.append(1)
         if len(calls) > best + 1:
             v *= 3.0
+            ws.sums *= 9.0      # the halves' sums of |v|^2 that the rhs plan wrote
         return v, F, gsq
 
     monkeypatch.setattr(flow_module, "_rhs_arrays", rising_rhs)
@@ -157,13 +158,14 @@ def test_rows_measure_the_state_they_belong_to(grid32, monkeypatch):
 
 
 @pytest.mark.parametrize("n, kind, team, lean, rows", [
-    (128, "landau_lifshitz", 1, [37], [54]), (128, "landau_lifshitz", 2, [38, 38], [59, 59]),
-    (64, "gradient", 1, [27], [44]), (64, "gradient", 2, [28, 28], [49, 49]),
-    (256, "gradient", 1, [110], [194]), (256, "gradient", 2, [55, 55], [97, 97])])
+    (128, "landau_lifshitz", 1, [35], [52]), (128, "landau_lifshitz", 2, [35, 35], [56, 56]),
+    (64, "gradient", 1, [25], [42]), (64, "gradient", 2, [25, 25], [46, 46]),
+    (256, "gradient", 1, [96], [180]), (256, "gradient", 2, [48, 48], [90, 90])])
 def test_plans_leave_out_the_normal_term(n, kind, team, lean, rows):
     # two halo copies (one per part in a team of two), then per block of
     # x-rows the weighted difference sum (12 calls and the two wrapped
-    # columns: 14), one projection (11) and on LL u x F + F (10); the row
+    # columns: 14), one projection (7: the dot, then d u and its difference
+    # from F as one broadcast call each) and on LL u x F + F (10); the row
     # variant adds u_x and u_y (6), their two dots and the dots' sum (11)
     # per block.  A scaling by a scalar of a block that is not contiguous
     # (a block of x-rows of a (3, nx, ny) array, unless it is all of them)
@@ -172,13 +174,22 @@ def test_plans_leave_out_the_normal_term(n, kind, team, lean, rows):
     # and the coupling terms took 21 calls where the sum takes 14; the
     # tension's |grad u|^2 u term and second projection took 28 more per
     # block.  Each part's step plan scales the velocity by dt into the
-    # padded state (3), adds u (1), forms the norms (6) and divides (1)
+    # padded state (3), adds u (1), forms the norms (6) and divides (1).
+    # Then each part reduces each half of the x-rows it holds, a team of
+    # one both: the rhs plans sum |v|^2 over it (1), the step plans take
+    # the least and the greatest norm (2), so main makes no full-grid call
     g = sf.make_grid(n, n, 1.0, 1.0)
     ws = _Workspace(g, cosine_coupling(g), kind, team)
+    halves = 2 // team
     for i in range(2):
         assert [len(p) for p in ws.rhs[i]] == lean
         assert [len(p) for p in ws.row_rhs[i]] == rows
-        assert [len(p) for p in ws.step[i]] == [11] * team
+        assert [len(p) for p in ws.step[i]] == [11 + 2 * halves] * team
+        for parts in (ws.rhs[i], ws.row_rhs[i]):
+            assert [[call[0] for call in p[-halves:]] for p in parts] == \
+                [[operators._sum_squares] * halves] * team
+        assert [[call[0] for call in p[-2 * halves:]] for p in ws.step[i]] == \
+            [[np.minimum.reduce, np.maximum.reduce] * halves] * team
 
 
 def test_step_results_do_not_change_on_the_next_step(grid32):
@@ -259,11 +270,11 @@ def test_workspace_arrays_start_on_a_cache_line(spec, kind, team):
 
 @pytest.mark.parametrize("team", [1, 2])
 def test_workspace_allocates_at_most_a_cache_line_per_array_beyond_its_arrays(team):
-    # at 256^2: v, F, gsq, d, tmp, dt, the team's control words and two
-    # padded buffers; the alignment costs at most 64 B each.  A team of one
-    # allocates them from numpy, a team of two as one shared arena, outside
-    # numpy.  The weights W are the coupling's, built before, not the
-    # workspace's
+    # at 256^2: v, F, gsq, d, tmp, dt, the slots sums and bounds, the
+    # team's control words and two padded buffers; the alignment costs at
+    # most 64 B each.  A team of one allocates them from numpy, a team of
+    # two as one shared arena, outside numpy.  The weights W are the
+    # coupling's, built before, not the workspace's
     g = sf.make_grid(256, 256, 1.0, 1.0)
     c = cosine_coupling(g)
     c._stencil_weights      # built here, so only the workspace's own arrays are counted
@@ -278,7 +289,7 @@ def test_workspace_allocates_at_most_a_cache_line_per_array_beyond_its_arrays(te
     allocated = sum(s.size_diff for s in after.compare_to(before, "filename"))
     assert ws.v.shape == ws.F.shape == (3, 256, 256)
     assert ws.W is c._stencil_weights
-    arrays = [ws.v, ws.F, ws.gsq, ws.d, ws.tmp, ws.dt]
+    arrays = [ws.v, ws.F, ws.gsq, ws.d, ws.tmp, ws.dt, ws.sums, ws.bounds]
     pads = 2 * 3 * (g.nx + 2) * g.ny * 8
     control = 16 * 8
     bound = sum(a.nbytes for a in arrays) + pads + control + 64 * (len(arrays) + 3)
