@@ -111,11 +111,6 @@ class Grid:
         """Periodic (torus) distance between points."""
         return np.hypot(self.wrap_dx(x1 - x0), self.wrap_dy(y1 - y0))
 
-    def nearest_node(self, x: float, y: float) -> tuple[int, int]:
-        i = int(np.round(x / self.hx)) % self.nx
-        j = int(np.round(y / self.hy)) % self.ny
-        return i, j
-
 
 def make_grid(nx: int, ny: int, lx: float, ly: float) -> Grid:
     """Build a periodic grid; rejects counts < 8 and non-positive sizes."""
@@ -148,16 +143,8 @@ class Coupling:
             raise ValueError(f"coupling must be positive everywhere, min f = {self.values.min()}")
 
     @property
-    def min_value(self) -> float:
-        return float(self.values.min())
-
-    @property
     def max_value(self) -> float:
         return float(self.values.max())
-
-    @property
-    def is_constant(self) -> bool:
-        return self.kind == "constant"
 
     @cached_property
     def _stencil_weights(self) -> np.ndarray:
@@ -279,8 +266,7 @@ class CriticalSet:
             return 0.0
         best = math.inf
         if self.points:
-            px, py = np.array([(p.x, p.y) for p in self.points]).T
-            best = float(grid.distance(x, y, px, py).min())
+            best = float(self._point_distances(x, y, grid).min())
         for ln in self.lines:
             if ln.axis == "x":
                 best = min(best, abs(float(grid.wrap_dx(x - ln.coordinate))))
@@ -291,8 +277,12 @@ class CriticalSet:
     def nearest_point(self, x: float, y: float, grid: Grid) -> CriticalPoint | None:
         if not self.points:
             return None
-        dists = [float(grid.distance(x, y, p.x, p.y)) for p in self.points]
-        return self.points[int(np.argmin(dists))]
+        return self.points[int(np.argmin(self._point_distances(x, y, grid)))]
+
+    def _point_distances(self, x: float, y: float, grid: Grid) -> np.ndarray:
+        """Periodic distances from (x, y) to each critical point, in one call."""
+        px, py = np.array([(p.x, p.y) for p in self.points]).T
+        return grid.distance(x, y, px, py)
 
 
 def _classify(hxx: float, hyy: float, hxy: float = 0.0) -> str:

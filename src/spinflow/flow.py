@@ -16,7 +16,8 @@ loop.  Each run makes one workspace, which records the array operations of
 the right-hand side and of the Euler update when it is made and holds the
 run's dt; every step replays them, forming |grad u|^2 only for a ledger
 row.  The initial values are copied once into one of two padded state
-buffers, and the states alternate between the two.
+buffers, and the states alternate between the two; the workspace's
+`current` names the one that holds the run's state.
 
 A run of more than one step on a grid of at least operators.TEAM_NODES
 nodes, in a process with one thread and two CPUs in its affinity mask, is
@@ -180,23 +181,25 @@ def _project_unit(w: np.ndarray, t: float, nstep: int, bounds: np.ndarray,
     return w
 
 
-def _apply_step(u: np.ndarray, v_sq: float, t: float, nstep: int, ws: _Workspace) -> np.ndarray:
-    """Apply one Euler step u + dt v with the velocity v of the last
-    evaluation in `ws` and v_sq = int |v|^2, and return the new state: u
-    itself at an exact stationary point, else the state buffer of `ws` that
-    does not hold u, so u stays the last valid state if this fails.  The
-    parts of the step plan each renormalise their own x-rows and bound
+def _apply_step(v_sq: float, t: float, nstep: int, ws: _Workspace) -> None:
+    """Apply one Euler step u + dt v to the run's state u, the current
+    state buffer of `ws`, with the velocity v of the last evaluation and
+    v_sq = int |v|^2, into the other buffer, and make that one current
+    once its norms pass the check; at an exact stationary point nothing
+    moves.  If the check fails, u stays current, the last valid state.
+    The parts of the step plan each renormalise their own x-rows and bound
     their norms; the bounds are checked here."""
     # v_sq > 0 already shows that v is not zero
     if not v_sq > 0 and not ws.velocity.any():
         # exact stationary point: keep the state bitwise unchanged
-        return u
-    i = ws.index(u)
+        return
+    i = ws.current
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         # overflow here is the under-resolved blow-up signature; the
         # projection guard turns it into a structured error
         ws.team.run(ws.step[i])
-    return _project_unit(ws.states[1 - i], t, nstep, ws.bounds, ws.d)
+    _project_unit(ws.states[1 - i], t, nstep, ws.bounds, ws.d)
+    ws.current = 1 - i
 
 
 def _step_budget(t_end: float, dt: float) -> int:
@@ -215,18 +218,18 @@ def _step_budget(t_end: float, dt: float) -> int:
 
 def _steps(field: SphereField, coupling: Coupling, config: FlowConfig, dt: float,
            budget: int, t0: float = 0.0, n0: int = 0, snapshot_sink=None,
-           row_every: int = 0, terminal_rhs: bool = True):
+           row_every: int = 0):
     """The one stepping loop from `field` at step n0, time t0: t = t0 + n dt.
 
     Yields (n, t, u, v, F, grad_sq, int |v|^2) at the start of each step
     n < budget once v has passed the blow-up check, then for the terminal
-    state n = budget unchecked, or unevaluated with None for v, F, grad_sq
-    and int |v|^2 if terminal_rhs is false; the caller stops early by
-    leaving the loop.  grad_sq() is |grad u|^2 of u, written by the row
-    variant of the evaluation if n % row_every == 0 or n = budget
-    (row_every > 0), else replayed on u when called.  snapshot_sink gets a
-    copy of each snapshot_every-th new state before its check.  A
-    BlowUpError carries the last valid state.
+    state n = budget: evaluated and unchecked for its ledger row if
+    row_every > 0, else unevaluated, with None for v, F, grad_sq and
+    int |v|^2.  The caller stops early by leaving the loop.  grad_sq() is
+    |grad u|^2 of u, written by the row variant of the evaluation if
+    n % row_every == 0 or n = budget (row_every > 0), else replayed on u
+    when called.  snapshot_sink gets a copy of each snapshot_every-th new
+    state before its check.  A BlowUpError carries the last valid state.
 
     The yielded arrays belong to the loop's workspace: v, F and |grad u|^2
     are overwritten when the loop resumes, and u (a view of a padded state
@@ -239,32 +242,31 @@ def _steps(field: SphereField, coupling: Coupling, config: FlowConfig, dt: float
     grid = field.grid
     ws = _Workspace(grid, coupling, config.flow_kind, _team_size(grid, budget))
     ws.dt[...] = dt
-    u = ws.states[0]
-    np.copyto(u, field.values)
+    np.copyto(ws.states[0], field.values)
 
     def grad_sq() -> np.ndarray:
-        return _rhs_arrays(u, ws, True)[2] if gsq is None else gsq
+        return _rhs_arrays(ws, True)[2] if gsq is None else gsq
 
-    if len(ws.parts) == 2:
-        ws.team.start()
+    ws.team.start()
     try:
         for n in range(budget + 1):
             t = t0 + n * dt
+            u = ws.states[ws.current]
             if n and snapshot_sink and config.snapshot_every and n % config.snapshot_every == 0:
                 snapshot_sink(FlowState(_sphere_field(field, u.copy()), t=t, step=n0 + n))
-            if n == budget and not terminal_rhs:
+            rows = row_every > 0 and (n % row_every == 0 or n == budget)
+            if n == budget and not rows:
                 yield n, t, u, None, None, None, None
                 return
             try:
-                rows = row_every > 0 and (n % row_every == 0 or n == budget)
-                v, F, gsq = _rhs_arrays(u, ws, rows)
+                v, F, gsq = _rhs_arrays(ws, rows)
                 first, second = ws.sums.tolist()     # the halves' sums of |v|^2
                 v_sq = (first + second) * grid.cell_area
                 if n < budget:
                     _check_velocity(v, v_sq, t, n0 + n)
                 yield n, t, u, v, F, grad_sq, v_sq
                 if n < budget:
-                    u = _apply_step(u, v_sq, t, n0 + n, ws)
+                    _apply_step(v_sq, t, n0 + n, ws)
             except BlowUpError as err:
                 err.state = FlowState(_sphere_field(field, u), t=t, step=n0 + n)
                 raise
@@ -283,7 +285,7 @@ def step(state: FlowState, coupling: Coupling, config: FlowConfig) -> FlowState:
     dt = resolve_dt(grid, coupling, config)
     try:
         for n, _, u, v, _, _, _ in _steps(state.field, coupling, config, dt, 1,
-                                          t0=state.t, n0=state.step, terminal_rhs=False):
+                                          t0=state.t, n0=state.step):
             if n == 0:
                 velocity = v     # no later evaluation writes v
     except BlowUpError as err:

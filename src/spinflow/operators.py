@@ -278,8 +278,11 @@ class _Team:
         self.pid = self.mask = None
 
     def start(self) -> None:
-        """Fork the worker, which replays the second part of each plan; if
-        the system refuses the fork, main goes on replaying every part."""
+        """Fork the worker, which replays the second part of each plan, if
+        the plans have two parts; if they have one, or the system refuses
+        the fork, main goes on replaying every part."""
+        if len(self.plans[0]) < 2:
+            return
         cpus = sorted(os.sched_getaffinity(0))[:2]
         parent = os.getpid()
         try:
@@ -340,7 +343,9 @@ class _Workspace:
     the two halves; `blocks` are the blocks of x-rows of the parts, each
     part's in order.  `states` are two (3, nx, ny) views of padded buffers
     that store each plane flat between two halo x-rows, as a _Pad does, so
-    the stencil reads its neighbours from the state itself.  `velocity` is F
+    the stencil reads its neighbours from the state itself; states[current]
+    holds the run's state (0 until a step moves it, see flow._apply_step),
+    and the other buffer is the next step's target.  `velocity` is F
     on the gradient flow and v (LL) on any other kind, where v is only the
     stencil's scratch.
 
@@ -364,7 +369,7 @@ class _Workspace:
 
     Whoever holds the workspace owns these arrays: the next evaluation
     overwrites v, F, the scratch and `sums`, and each step the other state
-    buffer and `bounds`.
+    buffer and `bounds`; it loads the first state into states[0].
     """
 
     def __init__(self, grid: Grid, coupling: Coupling, kind: str, team_size: int = 1):
@@ -381,6 +386,7 @@ class _Workspace:
         self.sums, self.bounds, ctl, *pads = arrays
         self.velocity = self.F if kind == "gradient" else self.v
         self.states = tuple(p.reshape(3, nx + 2, ny)[:, 1:-1] for p in pads)
+        self.current = 0
         self.rhs, self.row_rhs = ([tuple(self._record_rhs(p, grid, kind, rows, k)
                                          for k in range(team_size)) for p in pads]
                                   for rows in (False, True))
@@ -389,15 +395,6 @@ class _Workspace:
         ctl = ctl.view(np.int64)
         ctl[:] = 0
         self.team = _Team(memoryview(ctl), self.rhs + self.row_rhs + self.step)
-
-    def index(self, u: np.ndarray) -> int:
-        """The index of the state buffer that holds u; a u that is no state
-        buffer is copied into the first one."""
-        if u is self.states[1]:
-            return 1
-        if u is not self.states[0]:
-            np.copyto(self.states[0], u)
-        return 0
 
     def _record_rhs(self, pad: np.ndarray, grid: Grid, kind: str, rows: bool, k: int) -> _Plan:
         (nx, ny), plan = grid.shape, _Plan()
@@ -457,23 +454,22 @@ def laplacian(field: SphereField) -> np.ndarray:
     return _laplacian(field.values, field.grid.hx, field.grid.hy)
 
 
-def _rhs_arrays(u: np.ndarray, ws: _Workspace, rows: bool = False
+def _rhs_arrays(ws: _Workspace, rows: bool = False
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Shared core: flow velocity v, defect F = P_u(f lap u + grad f . grad u)
     and, with `rows`, |grad u|^2 (else None), all from one pass over the
-    blocks of x-rows, for a component-major (3, nx, ny) u, which need not be
-    exactly unit-norm, under the grid, coupling and flow kind of `ws`; for
-    the gradient flow v is F.
+    blocks of x-rows, for the run's state u = ws.states[ws.current], which
+    need not be exactly unit-norm, under the grid, coupling and flow kind of
+    `ws`; for the gradient flow v is F.
 
     The results are arrays of `ws`, written by the team of `ws` replaying
     the parts of the right-hand-side plan (or with `rows` its row variant)
-    of the state buffer of `ws` that holds u (u is copied into one first if
-    it is none); nothing is allocated.  Overflow and invalid operations are
-    not reported: a non-finite velocity is the blow-up signature the caller
-    scans for.
+    of the current state buffer; nothing is allocated.  Overflow and
+    invalid operations are not reported: a non-finite velocity is the
+    blow-up signature the caller scans for.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        ws.team.run((ws.row_rhs if rows else ws.rhs)[ws.index(u)])
+        ws.team.run((ws.row_rhs if rows else ws.rhs)[ws.current])
     return ws.velocity, ws.F, ws.gsq if rows else None
 
 

@@ -1,9 +1,15 @@
+import os
+
 import numpy as np
 import pytest
 
 import spinflow as sf
 from spinflow.domain import _dot
 from spinflow.field import SphereField, normalize
+from spinflow.operators import _rhs_arrays
+
+needs_fork = pytest.mark.skipif(not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")),
+                                reason="the step team forks and pins (Linux)")
 
 
 def unit_coupling(grid, value=1.0):
@@ -23,6 +29,13 @@ def blob_field(grid):
                     0.3 * np.cos(ky * y) - 0.2,
                     1.0 + 0.25 * np.sin(kx * x) * np.cos(ky * y)])
     return SphereField(grid, normalize(raw))
+
+
+def rhs_at(values, ws, rows=False):
+    """Load `values` as the run's state of the workspace `ws` and evaluate
+    the right-hand side there (see operators._rhs_arrays)."""
+    np.copyto(ws.states[ws.current], values)
+    return _rhs_arrays(ws, rows)
 
 
 def rotation_matrix(axis=(1.0, 2.0, 3.0), angle=0.7):

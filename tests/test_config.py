@@ -23,7 +23,7 @@ class TestParsing:
     def test_minimal_config(self):
         cfg = parse_config(MINIMAL)
         assert cfg.grid.nx == 32
-        assert cfg.coupling.is_constant
+        assert cfg.coupling.kind == "constant"
         assert cfg.flow.t_end == 0.0
         u = cfg.build_initial()
         assert np.all(u.values[2] == 1.0)
@@ -128,7 +128,7 @@ class TestDomainValidation:
                                "coupling.kind = custom-sampled\ncoupling.file = f.csv")
         cfg = parse_config(text, base_dir=str(tmp_path))
         assert cfg.coupling.kind == "custom-sampled"
-        assert cfg.coupling.min_value > 1.0
+        assert cfg.coupling.values.min() > 1.0
 
     def test_sampled_requires_file(self):
         bad = MINIMAL.replace("coupling.kind = constant",

@@ -48,7 +48,7 @@ class TestCoupling:
 
     def test_cosine_values_and_gradient(self, grid64):
         c = cosine_coupling(grid64)
-        assert c.min_value == pytest.approx(0.5)
+        assert c.values.min() == pytest.approx(0.5)
         assert c.max_value == pytest.approx(1.5)
         # grad = (-(0.5 pi / lx) sin(2 pi x / lx), ...) for amplitude 0.25
         x, y = grid64.mesh()
@@ -175,6 +175,7 @@ class TestCriticalPoints:
     @pytest.mark.parametrize("shape", [(64, 64, 1.0, 1.0), (40, 24, 1.3, 0.7)])
     def test_distance_to_points_matches_the_per_point_loop_bit_for_bit(self, shape):
         # one evaluation on the points' coordinate arrays, then its minimum
+        # and the first point that takes it
         g = sf.make_grid(*shape)
         cs = sf.critical_points(cosine_coupling(g))
         assert cs.kind == "points" and len(cs.points) == 4
@@ -182,10 +183,13 @@ class TestCriticalPoints:
         xs = rng.uniform(-0.5 * g.lx, 1.5 * g.lx, 2000)
         ys = rng.uniform(-0.5 * g.ly, 1.5 * g.ly, 2000)
         for x, y in zip(xs.tolist(), ys.tolist()):
-            want = math.inf
+            want, nearest = math.inf, None
             for p in cs.points:
-                want = min(want, float(g.distance(x, y, p.x, p.y)))
+                d = float(g.distance(x, y, p.x, p.y))
+                if d < want:
+                    want, nearest = d, p
             assert cs.distance_to(x, y, g) == want, (x, y)
+            assert cs.nearest_point(x, y, g) is nearest, (x, y)
 
     def test_nearest_point(self, grid64):
         cs = sf.critical_points(cosine_coupling(grid64))

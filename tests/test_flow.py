@@ -222,8 +222,8 @@ class TestEvolve:
         calls = []
         rhs = flow_module._rhs_arrays
 
-        def failing_rhs(u, ws, *rest):
-            v, F, gsq = rhs(u, ws, *rest)
+        def failing_rhs(ws, *rest):
+            v, F, gsq = rhs(ws, *rest)
             calls.append(1)
             if len(calls) == 4:
                 # node (7, 2) lies in the first half of the x-rows, whose
@@ -246,6 +246,37 @@ class TestEvolve:
         assert [row.t for row in err.ledger.rows] == [0.0, dt, 2 * dt]
         assert err.state.step == 3
         assert np.array_equal(err.state.field.values, seen[0].field.values)
+
+    @pytest.mark.parametrize("row_every, rows", [(0, [False] * 3), (1, [True] * 4),
+                                                 (2, [True, False, True, True])])
+    def test_the_terminal_state_is_evaluated_only_for_its_row(self, grid32, monkeypatch,
+                                                              row_every, rows):
+        # a budget of 3 steps: without rows the terminal state n = 3 is
+        # yielded unevaluated; with rows it is evaluated for its row but not
+        # checked, so its NaN velocity is yielded, not raised
+        rhs = flow_module._rhs_arrays
+        seen = []
+
+        def poisoned(ws, *rest):
+            v, F, gsq = rhs(ws, *rest)
+            seen.append(bool(rest and rest[0]))
+            if len(seen) == 4:
+                v[1, 7, 2] = np.nan
+                ws.sums[0] = np.nan
+            return v, F, gsq
+
+        monkeypatch.setattr(flow_module, "_rhs_arrays", poisoned)
+        c = cosine_coupling(grid32)
+        cfg = sf.FlowConfig(dt_policy="fixed", dt=1e-5)
+        out = list(flow_module._steps(blob_field(grid32), c, cfg, cfg.dt, 3, row_every=row_every))
+        assert [step[0] for step in out] == [0, 1, 2, 3]
+        assert seen == rows
+        n, t, u, v, F, grad_sq, v_sq = out[-1]
+        if row_every == 0:
+            assert (v, F, grad_sq, v_sq) == (None, None, None, None)
+        else:
+            assert np.isnan(v[1, 7, 2]) and np.isnan(v_sq)
+            assert grad_sq().shape == grid32.shape
 
     def test_determinism(self, grid32):
         c = cosine_coupling(grid32)
@@ -351,8 +382,8 @@ class TestBlowUpNode:
         assert exc.value.node == self.NODE
         assert exc.value.state.field.values.shape == (3,) + g.shape
 
-    # max_steps = 0: the initial iterate is the last one, which the stepping
-    # loop yields unchecked
+    # max_steps = 0: the initial iterate is the last one, where relax stops
+    # and which the stepping loop checks like every other
     @pytest.mark.parametrize("max_steps", [10, 0])
     def test_relax(self, max_steps):
         g, c, u = self.planted()

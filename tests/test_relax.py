@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 import spinflow as sf
+from spinflow import flow as flow_module
 from spinflow.flow import FlowState
 from spinflow.relax import DEFAULT_SAFETY
 
 from conftest import blob_field, cosine_coupling, unit_coupling
+from test_stencil_reference import component_major, node_major, ref_euler
 
 
 class TestRelax:
@@ -82,3 +84,36 @@ class TestRelax:
         # the defect falls monotonically here, so the best iterate is the last
         assert np.all(np.diff(res.history) < 0)
         assert np.array_equal(res.field.values, out.state.field.values)
+
+
+@pytest.mark.parametrize("k", [1, 4])
+@pytest.mark.parametrize("node, half", [((7, 2), 0), ((25, 9), 1)],
+                         ids=["first-half", "second-half"])
+def test_a_non_finite_last_defect_raises_with_the_last_iterate(grid32, monkeypatch, k, node, half):
+    # relax stops at iterate max_steps = k, which the stepping loop checks
+    # like every other: a NaN at `node` of its velocity (and in the sum of
+    # |v|^2 over the half of the x-rows that holds it) raises, and the error
+    # carries iterate k itself as the last valid state
+    rhs = flow_module._rhs_arrays
+    calls = []
+
+    def poisoned(ws, *rest):
+        v, F, gsq = rhs(ws, *rest)
+        calls.append(1)
+        if len(calls) == k + 1:
+            v[1][node] = np.nan
+            ws.sums[half] = np.nan
+        return v, F, gsq
+
+    monkeypatch.setattr(flow_module, "_rhs_arrays", poisoned)
+    c = cosine_coupling(grid32)
+    u0 = blob_field(grid32)
+    with pytest.raises(sf.BlowUpError, match="non-finite velocity") as exc:
+        sf.relax(u0, c, tol=1e-30, max_steps=k)
+    err = exc.value
+    dt = sf.cfl_dt(grid32, c, DEFAULT_SAFETY)
+    assert len(calls) == k + 1
+    assert (err.node, err.step, err.t) == (node, k, k * dt)
+    assert (err.state.step, err.state.t) == (k, k * dt)
+    want = ref_euler(node_major(u0.values), c, dt, "gradient", k)[0]
+    assert np.array_equal(err.state.field.values, component_major(want))

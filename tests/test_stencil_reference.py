@@ -24,10 +24,10 @@ import pytest
 
 import spinflow as sf
 from spinflow.domain import _grad_arrays
-from spinflow.operators import _laplacian, _rhs_arrays, _Workspace
+from spinflow.operators import _laplacian, _Workspace
 from spinflow.relax import DEFAULT_SAFETY
 
-from conftest import blob_field, cosine_coupling
+from conftest import blob_field, cosine_coupling, rhs_at
 
 #: relative bound on a reordered full-grid float64 sum of positive terms
 SUM_RTOL = 1e-12
@@ -154,12 +154,12 @@ class TestReferenceKernel:
         g, c, u = setup
         ref = ref_rhs_arrays(node_major(u.values), g.hx, g.hy, c, kind)
         ws = _Workspace(g, c, kind)
-        v, F, gsq = _rhs_arrays(u.values, ws)
+        v, F, gsq = rhs_at(u.values, ws)
         assert gsq is None
         assert np.array_equal(v, component_major(ref[0]))
         assert np.array_equal(F, component_major(ref[1]))
         # the row variant writes the same v and F, and |grad u|^2
-        v, F, gsq = _rhs_arrays(u.values, ws, True)
+        v, F, gsq = rhs_at(u.values, ws, True)
         assert np.array_equal(v, component_major(ref[0]))
         assert np.array_equal(F, component_major(ref[1]))
         assert np.array_equal(gsq, ref[2])
@@ -170,7 +170,7 @@ class TestReferenceKernel:
         g, c, u = setup
         assert u.max_norm_deviation <= 1e-15
         old = ref_rhs_arrays(node_major(u.values), g.hx, g.hy, c, kind, formula)
-        v, F, _ = _rhs_arrays(u.values, _Workspace(g, c, kind))
+        v, F, _ = rhs_at(u.values, _Workspace(g, c, kind))
         for got, want in ((v, old[0]), (F, old[1])):
             want = component_major(want)
             assert not np.array_equal(got, want)    # the formulas round differently
@@ -178,7 +178,7 @@ class TestReferenceKernel:
 
     @pytest.mark.parametrize("kind", ["gradient", "landau_lifshitz"])
     def test_rhs_bit_identical_off_the_sphere(self, setup, kind):
-        # _rhs_arrays accepts input off the sphere: here a half Euler step
+        # the right-hand side accepts input off the sphere: here a half Euler step
         # u + dt/2 k1 before its projection
         g, c, u = setup
         dt = 0.5 * sf.cfl_dt(g, c, 0.5)
@@ -186,7 +186,7 @@ class TestReferenceKernel:
         stage = node_major(u.values) + dt * k1
         assert np.abs(np.linalg.norm(stage, axis=-1) - 1.0).max() > 1e-8
         ref = ref_rhs_arrays(stage, g.hx, g.hy, c, kind)
-        v, F, gsq = _rhs_arrays(component_major(stage), _Workspace(g, c, kind), True)
+        v, F, gsq = rhs_at(component_major(stage), _Workspace(g, c, kind), True)
         assert np.array_equal(v, component_major(ref[0]))
         assert np.array_equal(F, component_major(ref[1]))
         assert np.array_equal(gsq, ref[2])

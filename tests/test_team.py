@@ -21,16 +21,14 @@ import pytest
 
 import spinflow as sf
 from spinflow import flow as flow_module
-from spinflow.operators import _rhs_arrays, _team_size, _Workspace
+from spinflow.operators import _team_size, _Workspace
 from spinflow.relax import DEFAULT_SAFETY
 
-from conftest import blob_field, cosine_coupling
+from conftest import blob_field, cosine_coupling, needs_fork, rhs_at
 from test_stencil_reference import component_major, node_major, ref_euler, ref_rhs_arrays
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(sf.__file__)))
 
-needs_fork = pytest.mark.skipif(not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")),
-                                reason="the step team forks and pins (Linux)")
 needs_two_cpus = pytest.mark.skipif(
     not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
     reason="a team of two needs two CPUs in the affinity mask")
@@ -113,7 +111,7 @@ def test_parts_match_the_reference_kernel(spec, blocks, kind):
             ws.team.start()
         try:
             for rows in (False, True):
-                v, F, gsq = _rhs_arrays(u0.values, ws, rows)
+                v, F, gsq = rhs_at(u0.values, ws, rows)
                 assert np.array_equal(v, component_major(ref[0]))
                 assert np.array_equal(F, component_major(ref[1]))
                 assert gsq is None if not rows else np.array_equal(gsq, ref[2])
@@ -204,7 +202,7 @@ def test_a_failed_norm_in_either_half_names_its_node(size, node, bad):
     g = sf.make_grid(*UNEVEN)
     ws = _Workspace(g, cosine_coupling(g), "gradient", size)
     ws.dt[...] = 1e-3
-    u = ws.states[0]
+    u = ws.states[ws.current]
     np.copyto(u, blob_field(g).values)
     u[:, node[0], node[1]] = bad
     ws.F.fill(0.0)                      # the velocity of the gradient flow
@@ -213,9 +211,10 @@ def test_a_failed_norm_in_either_half_names_its_node(size, node, bad):
         ws.team.start()
     try:
         with pytest.raises(sf.BlowUpError) as err:
-            flow_module._apply_step(u, g.cell_area, 0.5, 3, ws)
+            flow_module._apply_step(g.cell_area, 0.5, 3, ws)
     finally:
         ws.team.close()
+    assert ws.states[ws.current] is u       # the failed step leaves u current
     assert str(err.value) == (f"blow-up under-resolved: renormalization failed at node {node}, "
                               f"t = 0.5, step = 3")
     assert err.value.node == node and err.value.step == 3
@@ -246,7 +245,8 @@ def test_v_norm_sq_is_the_sum_of_the_halves_sums(spec, kind, team):
     u0 = sf.perturb(blob_field(g), 0.3, 5)
     cfg = fixed(g, c, 12, flow_kind=kind)
     want = []
-    for _, _, _, v, _, _, v_sq in flow_module._steps(u0, c, cfg, cfg.dt, 12):
+    # rows every step, as evolve's: the terminal state is evaluated for its row
+    for _, _, _, v, _, _, v_sq in flow_module._steps(u0, c, cfg, cfg.dt, 12, row_every=1):
         assert v_sq == half_sums(v, g.cell_area)
         full = float(np.einsum("ijk,ijk->", v, v)) * g.cell_area
         assert abs(v_sq - full) <= 1e-14 * full
@@ -282,7 +282,7 @@ def test_a_dead_worker_is_reported_not_waited_for():
         pid = ws.team.pid
         os.kill(pid, signal.SIGKILL)
         with pytest.raises(RuntimeError, match="worker process died: exit code -9"):
-            _rhs_arrays(u0.values, ws)
+            rhs_at(u0.values, ws)
         assert ws.team.pid is None
         with pytest.raises(ChildProcessError):
             os.waitpid(pid, os.WNOHANG)
@@ -484,7 +484,7 @@ def test_one_shot_operators_build_no_workspace(spec, kind, monkeypatch):
     c = cosine_coupling(g)
     u = sf.perturb(blob_field(g), 0.3, 5)
     v, F, _ = (np.array(a) if a is not None else None
-               for a in _rhs_arrays(u.values, _Workspace(g, c, kind)))
+               for a in rhs_at(u.values, _Workspace(g, c, kind)))
 
     def refused(*args, **kwargs):
         raise AssertionError("a one-shot operator made a workspace or forked")

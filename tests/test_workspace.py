@@ -19,10 +19,10 @@ from spinflow import domain
 from spinflow import flow as flow_module
 from spinflow import operators
 from spinflow.flow import FlowState
-from spinflow.operators import _rhs_arrays, _Workspace
+from spinflow.operators import _Workspace
 from spinflow.relax import DEFAULT_SAFETY
 
-from conftest import blob_field, cosine_coupling
+from conftest import blob_field, cosine_coupling, needs_fork, rhs_at
 from test_stencil_reference import component_major, node_major, ref_dot, ref_euler, \
     ref_rhs_arrays, ref_stencil, ref_weights
 
@@ -54,8 +54,8 @@ def relax_with_rising_defect(grid, monkeypatch, best):
     rhs = flow_module._rhs_arrays
     calls = []
 
-    def rising_rhs(u, ws, *rest):
-        v, F, gsq = rhs(u, ws, *rest)
+    def rising_rhs(ws, *rest):
+        v, F, gsq = rhs(ws, *rest)
         calls.append(1)
         if len(calls) > best + 1:
             v *= 3.0
@@ -89,7 +89,7 @@ def test_step_evaluates_the_right_hand_side_once(grid32, monkeypatch):
     calls = []
 
     def counted(*args):
-        calls.append(args[2:])
+        calls.append(args[1:])
         return rhs(*args)
 
     monkeypatch.setattr(flow_module, "_rhs_arrays", counted)
@@ -133,7 +133,7 @@ def test_rows_measure_the_state_they_belong_to(grid32, monkeypatch):
     rows = []
 
     def recorded(*args):
-        rows.append(bool(args[2:] and args[2]))
+        rows.append(bool(args[1:] and args[1]))
         return rhs(*args)
 
     monkeypatch.setattr(flow_module, "_rhs_arrays", recorded)
@@ -204,8 +204,15 @@ def test_step_results_do_not_change_on_the_next_step(grid32):
     assert np.array_equal(first.field.values, values)
 
 
-def test_euler_steps_allocate_no_state_sized_array(monkeypatch):
+#: the team sizes of the allocation tests: tracemalloc sees every call of
+#: the step in a team of one, and only main's half in a team of two
+TEAM_SIZES = [1, pytest.param(2, marks=needs_fork)]
+
+
+@pytest.mark.parametrize("team", TEAM_SIZES)
+def test_euler_steps_allocate_no_state_sized_array(monkeypatch, team):
     # steps 2..N reuse the workspace made before the first step
+    monkeypatch.setattr(flow_module, "_team_size", lambda grid, budget: team)
     g = sf.make_grid(128, 128, 1.0, 1.0)
     c = cosine_coupling(g)
     cfg = fixed(g, c, 12, flow_kind="landau_lifshitz", diagnostic_every=100)
@@ -357,9 +364,9 @@ def test_every_evaluation_on_a_coupling_reads_its_weights(monkeypatch):
     W = c._stencil_weights
     seen, rhs = [], flow_module._rhs_arrays
 
-    def spy(u, ws, *args):
+    def spy(ws, *args):
         seen.append(ws)
-        return rhs(u, ws, *args)
+        return rhs(ws, *args)
 
     monkeypatch.setattr(flow_module, "_rhs_arrays", spy)
     u = blob_field(g)
@@ -419,7 +426,7 @@ def test_constant_field_is_stationary_bit_for_bit_on_an_uneven_grid():
     c = cosine_coupling(g)
     u = sf.constant_field(g, (0.1, 0.7, 0.3))
     for kind in ("gradient", "landau_lifshitz"):
-        v, F, _ = _rhs_arrays(u.values, _Workspace(g, c, kind))
+        v, F, _ = rhs_at(u.values, _Workspace(g, c, kind))
         assert not F.any() and not v.any()
         out = sf.evolve(u, c, sf.FlowConfig(flow_kind=kind, t_end=1.0, safety=0.5))
         assert out.reason == "stationary"
@@ -432,7 +439,7 @@ def test_blocks_match_the_reference_kernel(kind):
     c = cosine_coupling(g)
     u0 = sf.perturb(blob_field(g), 0.3, 5)
     ref = ref_rhs_arrays(node_major(u0.values), g.hx, g.hy, c, kind)
-    v, F, gsq = _rhs_arrays(u0.values, _Workspace(g, c, kind), True)
+    v, F, gsq = rhs_at(u0.values, _Workspace(g, c, kind), True)
     assert np.array_equal(v, component_major(ref[0]))
     assert np.array_equal(F, component_major(ref[1]))
     assert np.array_equal(gsq, ref[2])
@@ -485,9 +492,11 @@ def test_energy_density_builds_no_full_grid_gradient():
     assert peak < 2 * u.values.nbytes
 
 
-def test_relax_steps_allocate_no_state_sized_array(monkeypatch):
+@pytest.mark.parametrize("team", TEAM_SIZES)
+def test_relax_steps_allocate_no_state_sized_array(monkeypatch, team):
     # the great circle's defect falls at every step, so relax never copies a
     # best iterate; steps 2..N replay the calls recorded at the first one
+    monkeypatch.setattr(flow_module, "_team_size", lambda grid, budget: team)
     g = sf.make_grid(64, 64, 1.0, 1.0)
     c = cosine_coupling(g)
     u0 = sf.great_circle_field(g, phase=0.3)
@@ -530,7 +539,7 @@ def test_recorded_step_matches_the_reference_kernel_on_edge_grids(spec, blocks, 
     ws = _Workspace(g, c, kind)
     assert ws.blocks == blocks
     ref = ref_rhs_arrays(node_major(u0.values), g.hx, g.hy, c, kind)
-    for got, want in zip(_rhs_arrays(u0.values, ws, True), ref):
+    for got, want in zip(rhs_at(u0.values, ws, True), ref):
         assert np.array_equal(got, want if want.ndim == 2 else component_major(want))
     cfg = fixed(g, c, 5, flow_kind=kind)
     out = sf.evolve(u0, c, cfg)
