@@ -10,9 +10,9 @@ In order, each in a fresh process with this checkout's src/ as PYTHONPATH:
    reported as skipped);
 3. the benchmark's own tests (`python -m pytest perfbench`);
 4. with --parent REV, the output manifests (scripts/output_manifest.py) of
-   a `git archive` of REV and of this checkout, for every workload at seeds
-   0-2 and for the quick-start at seeds 0-2 under `taskset -c 0`; any line
-   that differs is printed and fails the check.
+   REV's src/ (a `git archive`, unpacked) and of this checkout, for every
+   workload at seeds 0-2 and for the quick-start at seeds 0-2 under
+   `taskset -c 0`; any line that differs is printed and fails the check.
 
 pytest runs with `-p no:cacheprovider`, hypothesis keeps its database in
 a temporary directory and no bytecode is written, so nothing is written
@@ -29,6 +29,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tarfile
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -56,24 +57,27 @@ def _pytest(prefix: list[str], path: str) -> bool:
         return subprocess.run(cmd, cwd=ROOT, env=env).returncode == 0
 
 
-def _manifest(prefix: list[str], src: str, workloads: list[str]) -> list[str]:
-    cmd = prefix + [sys.executable, MANIFEST, "--src", src, "--workloads", ",".join(workloads)]
+def _manifest(prefix: list[str], src: str, workloads: str | None) -> list[str]:
+    """The manifest of `src` for the comma-separated `workloads`, or of every
+    workload if None."""
+    cmd = prefix + [sys.executable, MANIFEST, "--src", src]
+    if workloads:
+        cmd += ["--workloads", workloads]
     proc = subprocess.run(cmd, cwd=ROOT, env=_env(src), capture_output=True, text=True)
     if proc.returncode:
         raise RuntimeError(f"{' '.join(cmd)} exited {proc.returncode}:\n{proc.stderr}")
     return proc.stdout.splitlines()
 
 
-def _same_outputs(parent: str, prefix: list[str], workloads: list[str], label: str) -> bool:
+def _same_outputs(parent: str, prefix: list[str], workloads: str | None, label: str) -> bool:
     """Whether the manifests of the archived `parent` and of this checkout
     are equal; prints the diff if not."""
     with tempfile.TemporaryDirectory(prefix="verify-parent-") as tmp:
-        git = subprocess.Popen(["git", "archive", parent, "src"], cwd=ROOT,
-                               stdout=subprocess.PIPE)
-        subprocess.run(["tar", "-x", "-C", tmp], stdin=git.stdout, check=True)
-        git.stdout.close()
-        if git.wait():
-            raise RuntimeError(f"git archive {parent} exited {git.returncode}")
+        archive = os.path.join(tmp, "src.tar")
+        subprocess.run(["git", "archive", "--output", archive, parent, "src"], cwd=ROOT,
+                       check=True)
+        with tarfile.open(archive) as tar:
+            tar.extractall(tmp, filter="data")
         old = _manifest(prefix, os.path.join(tmp, "src"), workloads)
     new = _manifest(prefix, os.path.join(ROOT, "src"), workloads)
     diff = list(difflib.unified_diff(old, new, f"{parent}:{label}", f"checkout:{label}",
@@ -97,13 +101,10 @@ def main(argv=None) -> int:
         results["tier-1 under taskset -c 0"] = _pytest(one_cpu, "tests")
     results["perfbench tests"] = _pytest([], "perfbench")
     if args.parent:
-        sys.path.insert(0, os.path.join(ROOT, "perfbench"))
-        sys.dont_write_bytecode = True
-        from workloads import WORKLOADS
-        results["manifest"] = _same_outputs(args.parent, [], list(WORKLOADS), "all workloads")
+        results["manifest"] = _same_outputs(args.parent, [], None, "all workloads")
         if one_cpu is not None:
             results["manifest under taskset -c 0"] = _same_outputs(
-                args.parent, one_cpu, [QUICKSTART], f"{QUICKSTART}, taskset -c 0")
+                args.parent, one_cpu, QUICKSTART, f"{QUICKSTART}, taskset -c 0")
     print()
     for name, ok in results.items():
         print(f"{'ok    ' if ok else 'FAILED'}  {name}")

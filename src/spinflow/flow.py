@@ -235,8 +235,9 @@ def _steps(field: SphereField, coupling: Coupling, config: FlowConfig, dt: float
     are overwritten when the loop resumes, and u (a view of a padded state
     buffer) by the step after next.  A caller that needs one longer copies it.
 
-    Where _team_size allows a team of two, the workspace's plans have two
-    parts, and a forked worker replays the second for the whole run; it is
+    Where _team_size allows a team of two for `budget` (for relax, one
+    more than the steps it takes), the workspace's plans have two parts,
+    and a forked worker replays the second for the whole run; it is
     killed when the loop ends, however it ends.
     """
     grid = field.grid

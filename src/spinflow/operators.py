@@ -210,7 +210,8 @@ def _team_size(grid: Grid, budget: int) -> int:
     and one forked worker, else 1: the affinity mask must hold two CPUs,
     the process must run no other thread (fork copies only the calling
     one), the budget must be more than one step and the grid at least
-    TEAM_NODES nodes."""
+    TEAM_NODES nodes.  relax's budget is max_steps + 1, one more than the
+    steps it takes, so a relax of one step may fork."""
     can_fork = (_ORDERED_STORES and hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
                 and threading.active_count() == 1)
     return 2 if (can_fork and budget > 1 and grid.nx * grid.ny >= TEAM_NODES
